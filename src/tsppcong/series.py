@@ -2,11 +2,18 @@
 
 A series here is an immutable coefficient tuple of fixed length with eager
 truncation: every operation returns a series whose order is the smallest
-order among its operands.  Multiplication walks the nonzero terms of the
-sparser factor, so high powers of the very sparse Euler products
-prod(1 - q^(delta*n)) stay affordable.  Eta quotients additionally get a
-vectorized kernel for residue rings, which is the path that carries the
-large expansions needed by the congruence verifier.
+order among its operands.
+
+All dense arithmetic goes through one multiply, _mul, by Kronecker
+substitution: each operand becomes one Python int of fixed-width limbs, so
+a product costs one big-integer multiplication.  Over Z the product is
+taken modulo a bound larger than twice any coefficient and lifted to the
+centred range.  Inversion is Newton iteration on top of it and powers are
+binary powering.  Eta quotients apply positive exponents by sparse passes
+of shifted additions over the pentagonal support of the Euler product;
+each negative exponent costs one Newton inverse at order // d, multiplied
+into the d residue classes of the exponent separately.  Everything is
+exact: int64 or object numpy arrays and Python ints, no floating point.
 """
 
 from __future__ import annotations
@@ -214,63 +221,107 @@ def _one(ring: CoefficientRing, order: int) -> TruncatedSeries:
     return TruncatedSeries(ring, (1,) + (0,) * order)
 
 
+def _mul(a: list[int], b: list[int], n: int, modulus: int | None) -> list[int]:
+    """Coefficients 0..n of a*b, reduced mod modulus, or exact when it is None.
+
+    Kronecker substitution: both operands are packed into one Python int
+    each, as fixed-width little-endian limbs wide enough to hold any
+    coefficient of the product, multiplied once and unpacked.  Over Z the
+    product is taken mod an odd m exceeding twice the largest possible
+    coefficient and lifted back to the centred range.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    m = modulus
+    if m is None:
+        # max with 1 keeps m above twice every input, even beside a zero operand
+        m = 2 * (n + 1) * max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) + 1
+    width = max(1, ((min(len(a), len(b)) * (m - 1) ** 2).bit_length() + 7) // 8)
+    product = _pack(a, m, width) * _pack(b, m, width)
+    size = width * (n + 1)
+    out = _unpack((product & ((1 << 8 * size) - 1)).to_bytes(size, "little"), m, width)
+    if modulus is None:
+        half = m // 2
+        out = [c - m if c > half else c for c in out]
+    return out
+
+
+# Long runs of limbs of at most 8 bytes go through numpy, which pays for its
+# call overhead from about 16 limbs on.  Such limbs mean m < 2**32, so every
+# input (a residue, its negative, or an integer below m/2) fits int64.
+_NUMPY_LIMBS = 16
+
+
+def _pack(coeffs: list[int], m: int, width: int) -> int:
+    if width <= 8 and len(coeffs) > _NUMPY_LIMBS:
+        limbs = np.array(coeffs, dtype="<i8")
+        np.remainder(limbs, m, out=limbs)
+        return int.from_bytes(limbs.view(np.uint8).reshape(-1, 8)[:, :width].tobytes(), "little")
+    return int.from_bytes(b"".join((c % m).to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(raw: bytes, m: int, width: int) -> list[int]:
+    if width <= 8 and len(raw) > _NUMPY_LIMBS * width:
+        limbs = np.zeros((len(raw) // width, 8), dtype=np.uint8)
+        limbs[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+        values = limbs.view("<u8").ravel()
+        np.remainder(values, m, out=values)
+        return values.tolist()
+    return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
+
+
+def _inverse(a: list[int], inv0: int, modulus: int | None) -> list[int]:
+    """Inverse of a through q**(len(a)-1), given the inverse inv0 of a[0].
+
+    Newton iteration g <- g(2 - a*g): if a*g = 1 + q^k*e then the next k
+    coefficients of the inverse are those of -g*e, so each step doubles
+    the known prefix at the price of two products.
+    """
+    g = [inv0]
+    while len(g) < len(a):
+        k = len(g)
+        k2 = min(2 * k, len(a))
+        e = _mul(a[:k2], g, k2 - 1, modulus)[k:]
+        g += _mul(g, [-c for c in e], k2 - k - 1, modulus)
+    return g
+
+
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(a.order, b.order).
 
-    Cost is order times the nonzero count of the sparser factor.
+    One Kronecker-substitution multiply of Python ints: near-linear in the
+    order times the coefficient width, dense or sparse alike.
     """
     ring = _common_ring(a, b)
     n = min(a.order, b.order)
-    ta = a.nonzero_terms(n)
-    tb = b.nonzero_terms(n)
-    if len(ta) <= len(tb):
-        sparse, dense = ta, b.coeffs
-    else:
-        sparse, dense = tb, a.coeffs
-    out = [0] * (n + 1)
-    for e, c in sparse:
-        for i in range(n - e + 1):
-            d = dense[i]
-            if d:
-                out[e + i] += c * d
-    return TruncatedSeries(ring, tuple(ring.normalize(v) for v in out))
+    return TruncatedSeries(ring, tuple(_mul(list(a.coeffs), list(b.coeffs), n, ring.modulus)))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse via the forward recurrence.
+    """Multiplicative inverse by Newton iteration.
 
     Needs a unit constant term; the error reports the offending gcd.  The
-    recurrence touches only the nonzero terms of a, so inverting a sparse
-    series costs order times its nonzero count.
+    cost is a constant number of products at the full order.
     """
     ring = a.ring
     inv0 = ring.unit_inverse(a.coeffs[0])
-    n = a.order
-    terms = [(e, c) for e, c in enumerate(a.coeffs) if e and c]
-    out = [0] * (n + 1)
-    out[0] = ring.normalize(inv0)
-    for k in range(1, n + 1):
-        s = 0
-        for e, c in terms:
-            if e > k:
-                break
-            s += c * out[k - e]
-        out[k] = ring.normalize(-inv0 * s)
-    return TruncatedSeries(ring, tuple(out))
+    return TruncatedSeries(ring, tuple(_inverse(list(a.coeffs), inv0, ring.modulus)))
 
 
 def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
     """a**e truncated at a.order; e == 0 gives the constant series 1.
 
-    Negative exponents invert first (unit constant term required) and then
-    multiply repeatedly, like the positive case.
+    Binary powering, about 2*log2|e| products; negative exponents invert
+    first (unit constant term required).
     """
-    if e == 0:
-        return _one(a.ring, a.order)
+    result = _one(a.ring, a.order)
     base = invert(a) if e < 0 else a
-    result = base
-    for _ in range(abs(e) - 1):
-        result = mul(result, base)
+    e = abs(e)
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
     return result
 
 
@@ -295,103 +346,50 @@ def extract_progression(a: TruncatedSeries, m: int, t: int) -> TruncatedSeries:
 def eta_quotient(spec: EtaQuotientSpec, order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
     """Expand prod_{d | level} (q^d; q^d)_inf ** r_d through q**order.
 
-    Residue rings with a small modulus take the vectorized kernel; exact
-    integers (and very large moduli) fall back to composing the public
-    series operations.
+    Positive exponents are applied by sparse passes, one per unit of
+    exponent, each costing order times the pentagonal support (about
+    sqrt(order/d)).  For a negative exponent r, (q; q)**|r| is built by
+    passes at order // d and inverted once by Newton iteration.  The
+    dilated inverse touches only exponents divisible by d, so each residue
+    class of the exponent mod d is multiplied by the undilated inverse on
+    its own.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     u = ring.modulus
-    if u is not None and _vector_safe(u, order + 1):
-        return TruncatedSeries(ring, _eta_mod_vector(spec, order, u))
-    return _eta_compose(spec, order, ring)
-
-
-def _vector_safe(u: int, length: int) -> bool:
-    # int64 accumulators: worst case sums `length` products of residues < u
-    return (u - 1) ** 2 * length < 2**62
-
-
-def _eta_compose(spec: EtaQuotientSpec, order: int, ring: CoefficientRing) -> TruncatedSeries:
-    result = _one(ring, order)
-    for delta, r in spec.nonzero():
-        base = pentagonal_series(delta, order, ring)
-        if r < 0:
-            base = invert(base)
-        for _ in range(abs(r)):
-            result = mul(result, base)
-    return result
-
-
-def _eta_mod_vector(spec: EtaQuotientSpec, order: int, u: int) -> tuple[int, ...]:
-    length = order + 1
-    acc = np.zeros(length, dtype=np.int64)
-    acc[0] = 1 % u
-    work = np.empty(length, dtype=np.int64)
-    for delta, r in spec.nonzero():
-        if r < 0:
-            continue
-        terms = pentagonal_terms(delta, order)
-        for _ in range(r):
-            np.copyto(work, acc)
-            for e, sign in terms[1:]:
-                seg = length - e
-                if sign > 0:
-                    np.add(work[e:], acc[:seg], out=work[e:])
-                else:
-                    np.subtract(work[e:], acc[:seg], out=work[e:])
-            np.remainder(work, u, out=acc)
-    for delta, r in spec.nonzero():
+    out = [ring.normalize(1)] + [0] * order
+    for d, r in spec.nonzero():
         if r > 0:
-            continue
-        inv = _pentagonal_inverse_power_mod(order // delta, -r, u)
-        acc = _mul_dilated_mod(acc, inv, delta, u)
-    return tuple(acc.tolist())
+            out = _euler_passes(out, d, r, u)
+    for d, r in spec.nonzero():
+        if r < 0:
+            inv = _inverse(_euler_passes([1] + [0] * (order // d), 1, -r, u), 1, u)
+            for rho in range(min(d, order + 1)):
+                cls = out[rho::d]
+                out[rho::d] = _mul(cls, inv, len(cls) - 1, u)
+    return TruncatedSeries(ring, tuple(out))
 
 
-def _pentagonal_inverse_power_mod(nc: int, k: int, u: int) -> np.ndarray:
-    """((q; q)_inf)**(-k) mod u through q**nc, as an int64 vector.
+def _euler_passes(coeffs: list[int], d: int, r: int, modulus: int | None) -> list[int]:
+    """coeffs * (q^d; q^d)**r for r >= 0, by r passes of shifted additions.
 
-    One forward recurrence produces the inverse of the pentagonal series;
-    the k-th power is then built by repeated integer convolution.
+    Residues below the modulus stay in int64 when a pass, which adds up to
+    one shifted copy per pentagonal term, cannot overflow; exact integers
+    and huge moduli use an object array.
     """
-    terms = [(e, s) for e, s in pentagonal_terms(1, nc) if e]
-    inv = [0] * (nc + 1)
-    inv[0] = 1 % u
-    for n in range(1, nc + 1):
-        s = 0
-        for e, sign in terms:
-            if e > n:
-                break
-            if sign > 0:
-                s -= inv[n - e]
-            else:
-                s += inv[n - e]
-        inv[n] = s % u
-    base = np.array(inv, dtype=np.int64)
-    out = base
-    for _ in range(k - 1):
-        out = np.convolve(out, base)[: nc + 1]
-        np.remainder(out, u, out=out)
-    return out
-
-
-def _mul_dilated_mod(acc: np.ndarray, inv: np.ndarray, delta: int, u: int) -> np.ndarray:
-    """Multiply acc by a series supported on multiples of delta (coefficients
-    inv[j] at exponent delta*j), modulo u.
-
-    The product splits into delta independent convolutions, one per residue
-    class of the exponent.
-    """
-    length = acc.shape[0]
-    if delta == 1:
-        out = np.convolve(acc, inv)[:length]
-        np.remainder(out, u, out=out)
-        return out
-    out = np.empty(length, dtype=np.int64)
-    for rho in range(min(delta, length)):
-        seg = acc[rho::delta]
-        conv = np.convolve(seg, inv)[: seg.shape[0]]
-        np.remainder(conv, u, out=conv)
-        out[rho::delta] = conv
-    return out
+    n = len(coeffs)
+    terms = pentagonal_terms(d, n - 1)[1:]
+    small = modulus is not None and (len(terms) + 1) * modulus < 2**63
+    acc = np.array(coeffs, dtype=np.int64 if small else object)
+    work = np.empty_like(acc)
+    # every pass reads acc and writes work, so the shifted views are built once
+    shifts = [(np.add if sign > 0 else np.subtract, work[e:], acc[: n - e]) for e, sign in terms]
+    for _ in range(r):
+        np.copyto(work, acc)
+        for op, dst, src in shifts:
+            op(dst, src, out=dst)
+        if modulus is None:
+            np.copyto(acc, work)
+        else:
+            np.remainder(work, modulus, out=acc)
+    return acc.tolist()

@@ -111,63 +111,30 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
 
 @lru_cache(maxsize=8)
 def _tspp_coeffs(order: int, modulus: int | None) -> tuple[int, ...]:
-    if modulus is not None and modulus <= 1 << 20:
-        return _tspp_mod_vector(order, modulus)
-    coeffs = _tspp_exact(order)
-    if modulus is not None:
-        coeffs = tuple(c % modulus for c in coeffs)
-    return coeffs
-
-
-def _tspp_exact(order: int) -> tuple[int, ...]:
     out = [0] * (order + 1)
-    out[0] = 1
+    out[0] = 1 if modulus is None else 1 % modulus
     if order < 1:
         return tuple(out)
     # slot j of the compressed arrays is the coefficient of q^(3j+1)
     lc = (order - 1) // 3 + 1
-    acc = [0] * lc
-    prod = [0] * lc
+    # values at most double per factor; reducing every 16 steps keeps
+    # residues below 2**20 far from the int64 limit
+    small = modulus is not None and modulus <= 2**20
+    acc = np.zeros(lc, dtype=np.int64 if small else object)
+    prod = np.zeros_like(acc)
     prod[0] = 1
     for n in range(1, lc + 1):
-        j0 = n - 1
-        if n >= 2:
-            e = 2 * n - 3
-            if e < lc:
-                for i in range(lc - 1, e - 1, -1):
-                    prod[i] += prod[i - e]
-        for i in range(j0, lc):
-            acc[i] += prod[i - j0]
-    for j in range(lc):
-        out[3 * j + 1] = acc[j]
-    return tuple(out)
-
-
-def _tspp_mod_vector(order: int, u: int) -> tuple[int, ...]:
-    out = [0] * (order + 1)
-    out[0] = 1 % u
-    if order < 1:
-        return tuple(out)
-    lc = (order - 1) // 3 + 1
-    acc = np.zeros(lc, dtype=np.int64)
-    prod = np.zeros(lc, dtype=np.int64)
-    prod[0] = 1
-    for n in range(1, lc + 1):
-        j0 = n - 1
         if n >= 2:
             e = 2 * n - 3
             if e < lc:
                 prod[e:] = prod[e:] + prod[: lc - e]
-        acc[j0:] += prod[: lc - j0]
-        if n % 16 == 0:
-            # values at most double per factor; reducing every 16 steps keeps
-            # everything far below the int64 limit for u < 2**20
-            np.remainder(prod, u, out=prod)
-            np.remainder(acc, u, out=acc)
-    np.remainder(acc, u, out=acc)
-    vals = acc.tolist()
-    for j in range(lc):
-        out[3 * j + 1] = vals[j]
+        acc[n - 1 :] += prod[: lc - n + 1]
+        if modulus is not None and n % 16 == 0:
+            np.remainder(prod, modulus, out=prod)
+            np.remainder(acc, modulus, out=acc)
+    if modulus is not None:
+        np.remainder(acc, modulus, out=acc)
+    out[1::3] = acc.tolist()
     return tuple(out)
 
 

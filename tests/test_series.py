@@ -1,15 +1,20 @@
 """Series arithmetic: frozen examples from the brute-force oracles plus
 algebraic property tests."""
 
+from functools import lru_cache
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 import tsppcong as tc
-from tsppcong.series import _eta_compose, pentagonal_terms
+from tsppcong.series import pentagonal_terms
 
 MODULI = [4, 5, 11, 25, 121, 125]
+# fits int64, but one pass over it could overflow: forces the object arrays
+HUGE_MODULUS = 2**62 + 1
 
 coeff_lists = st.lists(st.integers(-30, 30), min_size=1, max_size=51)
 unit_coeff_lists = st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), max_size=30)).map(
@@ -147,6 +152,29 @@ def test_invert_ring_homomorphism(a, u):
     assert tc.invert(exact(a)).reduced(u) == tc.invert(exact(a).reduced(u))
 
 
+@st.composite
+def non_trivial_unit_series(draw):
+    """A series over Z/u whose constant term is a unit other than 1."""
+    u = draw(st.sampled_from([4, 9, 125, 121]))
+    c0 = draw(st.integers(2, u - 1).filter(lambda c: gcd(c, u) == 1))
+    rest = draw(st.lists(st.integers(0, u - 1), max_size=40))
+    return tc.TruncatedSeries(tc.residues_mod(u), (c0,) + tuple(rest))
+
+
+@given(a=non_trivial_unit_series(), k=st.integers(1, 4))
+@settings(deadline=None)
+def test_newton_inverse_with_non_trivial_unit_seed(a, k):
+    u, order = a.ring.modulus, a.order
+    one = (1,) + (0,) * order
+    assert tc.mul(a, tc.invert(a)).coeffs == one
+    # power(a, -k) * a**k == 1, with a**k expanded by the oracle
+    a_k = [1] + [0] * order
+    for _ in range(k):
+        a_k = oracles.poly_mul(a_k, list(a.coeffs), order)
+    product = oracles.poly_mul(list(tc.power(a, -k).coeffs), a_k, order)
+    assert tuple(c % u for c in product) == one
+
+
 # ---------------------------------------------------------------------------
 # powers
 # ---------------------------------------------------------------------------
@@ -249,13 +277,42 @@ def test_eta_quotient_vector_kernel_matches_exact(u):
     assert fast == slow
 
 
-def test_eta_quotient_vector_kernel_matches_compose_mod():
-    # same modulus, two independent code paths
-    spec = tc.EtaQuotientSpec(6, {1: -3, 2: 5, 3: -1, 6: 2})
-    ring = tc.residues_mod(121)
-    fast = tc.eta_quotient(spec, 70, ring)
-    slow = _eta_compose(spec, 70, ring)
-    assert fast == slow
+@lru_cache(maxsize=None)
+def euler_power(delta, r, order):
+    """prod_{n >= 1}(1 - q^(delta*n)) ** r for r >= 0, by the oracle alone."""
+    out = [1] + [0] * order
+    for _ in range(r):
+        out = oracles.poly_mul(out, oracles.euler_product(delta, order), order)
+    return tuple(out)
+
+
+@st.composite
+def eta_specs(draw):
+    level = draw(st.integers(1, 12))
+    divs = [d for d in range(1, level + 1) if level % d == 0]
+    exponents = {d: draw(st.integers(-6, 6)) for d in divs}
+    return tc.EtaQuotientSpec(level, exponents)
+
+
+@given(
+    spec=eta_specs(),
+    order=st.integers(0, 80),
+    u=st.sampled_from([None] + MODULI + [HUGE_MODULUS]),
+)
+@settings(deadline=None)
+def test_eta_quotient_times_denominator_is_numerator(spec, order, u):
+    ring = tc.INTEGERS if u is None else tc.residues_mod(u)
+    lhs = list(tc.eta_quotient(spec, order, ring).coeffs)
+    rhs = [1] + [0] * order
+    for d, r in spec.nonzero():
+        if r < 0:
+            lhs = oracles.poly_mul(lhs, euler_power(d, -r, order), order)
+        else:
+            rhs = oracles.poly_mul(rhs, euler_power(d, r, order), order)
+    if u is not None:
+        lhs = [c % u for c in lhs]
+        rhs = [c % u for c in rhs]
+    assert lhs == rhs
 
 
 def test_eta_quotient_against_brute_force_product():

@@ -19,7 +19,8 @@ def test_counting_series_matches_uncompressed_expansion():
 def test_counting_series_mod_kernel_matches_exact():
     order = 400
     exact = tc.tspp_series(order)
-    for u in (4, 5, 25, 125, 11):
+    # 2**20 and 2**20 + 1 sit on either side of the int64/object switch
+    for u in (4, 5, 25, 125, 11, 2**20, 2**20 + 1, 2**61 - 1):
         assert tc.tspp_series(order, tc.residues_mod(u)) == exact.reduced(u)
 
 
