@@ -7,13 +7,13 @@ parse error, 3 proof failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .documents import (
     DocumentError,
     canonical_json,
+    load_eta_spec,
     load_instance,
     report_to_doc,
 )
@@ -24,7 +24,7 @@ from .prover import (
     prove_tspp_congruence,
     regression_suite,
 )
-from .series import INTEGERS, EtaQuotientSpec, eta_quotient, residues_mod
+from .series import INTEGERS, eta_quotient, residues_mod
 from .tspp import slice_series, slice_variant_series, tspp_series
 
 
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_series(args) -> "TruncatedSeries":
+def _expand_series(args):
     ring = INTEGERS if args.mod is None else residues_mod(args.mod)
     if args.seq == "f":
         return tspp_series(args.order, ring)
@@ -79,26 +79,13 @@ def _expand_series(args) -> "TruncatedSeries":
         return slice_variant_series(args.alpha, args.p, args.order, ring)
     if args.spec is None:
         raise DocumentError("--seq eta needs --spec")
-    try:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read eta spec: {exc}", args.spec)
-    if not isinstance(doc, dict) or set(doc) != {"M", "r"} or not isinstance(doc["r"], dict):
-        raise DocumentError('eta spec must be {"M": level, "r": {divisor: exponent}}', args.spec)
-    try:
-        spec = EtaQuotientSpec(doc["M"], {int(k): int(v) for k, v in doc["r"].items()})
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(str(exc), args.spec)
-    return eta_quotient(spec, args.order, ring)
+    return eta_quotient(load_eta_spec(args.spec), args.order, ring)
 
 
 def _cmd_expand(args) -> int:
     try:
         series = _expand_series(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines = "".join(f"{n}\t{c}\n" for n, c in enumerate(series.coeffs))

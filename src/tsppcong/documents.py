@@ -20,14 +20,6 @@ from .series import EtaQuotientSpec
 from .tspp import CheckReport, CongruenceClaim, ReductionStep
 from .verification import Certificate
 
-_INSTANCE_NAMES = (
-    "f_1250n_125_mod125",
-    "f_1250n_1125_mod125",
-    "f_2750n_825_mod11",
-    "f_2750n_1925_mod11",
-)
-
-
 class DocumentError(ValueError):
     """A document failed to parse or validate; the message names the field."""
 
@@ -89,21 +81,18 @@ def _parse_divisor_map(obj, level: int, where: str) -> EtaQuotientSpec:
 
 def _parse_claim(obj, where: str) -> CongruenceClaim:
     claim = _require_mapping(obj, where)
-    _check_keys(claim, {"sequence", "A", "B", "u", "alpha", "p"}, {"sequence", "A", "B", "u"}, where)
-    sequence = claim["sequence"]
-    if sequence not in ("f", "g", "gap"):
-        raise DocumentError(f"sequence must be one of f, g, gap; got {sequence!r}", where)
-    kwargs = {}
-    for extra in ("alpha", "p"):
-        if extra in claim:
-            kwargs[extra] = _get_int(claim, extra, where)
+    keys = {"sequence", "A", "B", "u"}
+    _check_keys(claim, keys, keys, where)
+    if claim["sequence"] != "f":
+        raise DocumentError(
+            f"sequence must be 'f', the only one a proof reduces; got {claim['sequence']!r}", where
+        )
     try:
         return CongruenceClaim(
-            sequence,
+            "f",
             _get_int(claim, "A", where),
             _get_int(claim, "B", where),
             _get_int(claim, "u", where),
-            **kwargs,
         )
     except ValueError as exc:
         raise DocumentError(str(exc), where)
@@ -115,7 +104,7 @@ def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}", source)
     top = _require_mapping(doc, source)
-    _check_keys(top, {"claim", "hints", "oracle", "overrides"}, {"claim", "hints"}, source)
+    _check_keys(top, {"claim", "hints", "oracle"}, {"claim", "hints"}, source)
 
     claim = _parse_claim(top["claim"], f"{source}.claim")
 
@@ -126,21 +115,6 @@ def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
         raise DocumentError("N must be positive", f"{source}.hints")
     r_prime = _parse_divisor_map(hints_obj["r_prime"], group_level, f"{source}.hints.r_prime")
 
-    overrides = {}
-    if "overrides" in top:
-        ov = _require_mapping(top["overrides"], f"{source}.overrides")
-        _check_keys(ov, {"alpha", "p", "m", "t", "r"}, set(), f"{source}.overrides")
-        for key in ("alpha", "p", "m", "t"):
-            if key in ov:
-                overrides[key] = _get_int(ov, key, f"{source}.overrides")
-        if "r" in ov:
-            r_obj = _require_mapping(ov["r"], f"{source}.overrides.r")
-            _check_keys(r_obj, {"M", "exponents"}, {"M", "exponents"}, f"{source}.overrides.r")
-            level = _get_int(r_obj, "M", f"{source}.overrides.r")
-            overrides["r"] = _parse_divisor_map(
-                r_obj["exponents"], level, f"{source}.overrides.r.exponents"
-            )
-
     oracle_max = 0
     if "oracle" in top:
         oracle = _require_mapping(top["oracle"], f"{source}.oracle")
@@ -149,11 +123,7 @@ def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
         if oracle_max < 0:
             raise DocumentError("max_index must be nonnegative", f"{source}.oracle")
 
-    try:
-        hints = InstanceHints(group_level, r_prime, **overrides)
-    except ValueError as exc:
-        raise DocumentError(str(exc), f"{source}.hints")
-    return InstanceDocument(claim, hints, oracle_max)
+    return InstanceDocument(claim, InstanceHints(group_level, r_prime), oracle_max)
 
 
 def load_instance(path) -> InstanceDocument:
@@ -161,21 +131,43 @@ def load_instance(path) -> InstanceDocument:
     return parse_instance(p.read_text(encoding="utf-8"), source=str(p))
 
 
+def load_eta_spec(path) -> EtaQuotientSpec:
+    """Read an eta quotient written as {"M": level, "r": {divisor: exponent}}."""
+    where = str(path)
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DocumentError(f"cannot read eta spec: {exc}", where)
+    _check_keys(_require_mapping(doc, where), {"M", "r"}, {"M", "r"}, where)
+    return _parse_divisor_map(doc["r"], _get_int(doc, "M", where), f"{where}.r")
+
+
+def _shipped() -> dict[str, InstanceDocument]:
+    """Every instance file in the package's data directory, by name, in
+    claim order (A, B, u)."""
+    docs = {}
+    for entry in (resources.files("tsppcong") / "data").iterdir():
+        if entry.name.endswith(".json"):
+            name = entry.name.removesuffix(".json")
+            docs[name] = parse_instance(entry.read_text(encoding="utf-8"), source=name)
+
+    def claim_order(item):
+        claim = item[1].claim
+        return claim.step, claim.offset, claim.modulus, item[0]
+
+    return dict(sorted(docs.items(), key=claim_order))
+
+
 def shipped_instances() -> tuple[InstanceDocument, ...]:
-    """The four instance documents distributed with the package."""
-    out = []
-    base = resources.files("tsppcong") / "data"
-    for name in _INSTANCE_NAMES:
-        text = (base / f"{name}.json").read_text(encoding="utf-8")
-        out.append(parse_instance(text, source=name))
-    return tuple(out)
+    """The instance documents distributed with the package."""
+    return tuple(_shipped().values())
 
 
 def shipped_instance(name: str) -> InstanceDocument:
-    if name not in _INSTANCE_NAMES:
-        raise KeyError(f"no shipped instance {name!r}; have {_INSTANCE_NAMES}")
-    text = (resources.files("tsppcong") / "data" / f"{name}.json").read_text(encoding="utf-8")
-    return parse_instance(text, source=name)
+    docs = _shipped()
+    if name not in docs:
+        raise KeyError(f"no shipped instance {name!r}; have {tuple(docs)}")
+    return docs[name]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +201,7 @@ def _divisor_map_doc(spec: EtaQuotientSpec) -> dict:
 
 
 def instance_to_doc(doc: InstanceDocument) -> dict:
-    out = {
+    return {
         "claim": claim_to_doc(doc.claim),
         "hints": {
             "N": doc.hints.group_level,
@@ -217,19 +209,6 @@ def instance_to_doc(doc: InstanceDocument) -> dict:
         },
         "oracle": {"max_index": doc.oracle_max},
     }
-    overrides = {}
-    for key in ("alpha", "p", "m", "t"):
-        value = getattr(doc.hints, key)
-        if value is not None:
-            overrides[key] = value
-    if doc.hints.r is not None:
-        overrides["r"] = {
-            "M": doc.hints.r.level,
-            "exponents": _divisor_map_doc(doc.hints.r),
-        }
-    if overrides:
-        out["overrides"] = overrides
-    return out
 
 
 def dump_instance(doc: InstanceDocument) -> str:

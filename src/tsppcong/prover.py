@@ -10,7 +10,7 @@ InstanceHints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import Sequence
 
@@ -36,21 +36,12 @@ NOT_REDUCIBLE = "NOT-REDUCIBLE"
 
 @dataclass(frozen=True)
 class InstanceHints:
-    """Verifier parameters that accompany a claim.
-
-    group_level and r_prime are required; the remaining fields override the
-    quantities that reduce_claim would otherwise derive, which is useful for
-    driving the verifier on hand-built instances (or for breaking one on
-    purpose in tests).
-    """
+    """The verifier parameters that accompany a claim: the group level N and
+    the auxiliary exponent vector r'.  Everything else is derived from the
+    reduced claim."""
 
     group_level: int
     r_prime: EtaQuotientSpec
-    alpha: int | None = None
-    p: int | None = None
-    m: int | None = None
-    t: int | None = None
-    r: EtaQuotientSpec | None = None
 
     def __post_init__(self):
         if self.r_prime.level != self.group_level:
@@ -100,16 +91,12 @@ def build_instance(g_claim: CongruenceClaim, hints: InstanceHints) -> Verificati
     """Assemble the verifier input for a slice-variant claim."""
     if g_claim.sequence != "gap":
         raise ValueError(f"expected a slice-variant claim, got {g_claim.sequence!r}")
-    alpha = hints.alpha if hints.alpha is not None else g_claim.alpha
-    p = hints.p if hints.p is not None else g_claim.p
-    spec = hints.r if hints.r is not None else slice_variant_spec(alpha, p)
-    m = hints.m if hints.m is not None else g_claim.step
-    t = hints.t if hints.t is not None else g_claim.offset
+    spec = slice_variant_spec(g_claim.alpha, g_claim.p)
     return VerificationInstance(
-        m=m,
+        m=g_claim.step,
         M=spec.level,
         N=hints.group_level,
-        t=t,
+        t=g_claim.offset,
         r=spec,
         r_prime=hints.r_prime,
         u=g_claim.modulus,
@@ -172,7 +159,7 @@ def combine_congruences(
         moduli.append(rep.claim.modulus)
     for assumed in cited:
         c = assumed.claim
-        if target.step % c.step != 0 or target.offset % c.step != c.offset:
+        if not c.contains(target):
             raise ValueError(
                 f"cited progression {c.describe()} does not contain {target.describe()}"
             )
@@ -269,8 +256,11 @@ def regression_suite(
     """Run every standing check: support and slice identity of the counting
     series, the slice-variant congruences, oracle checks of the known and of
     the newly proved congruences, and the full verification of the shipped
-    instances.  Passing instances=... substitutes the shipped instance
-    documents (see documents.load_instance)."""
+    instances.  Each known congruence that contains an instance claim with a
+    coprime modulus adds the combined congruence on that claim's progression.
+    Passing instances=... substitutes the shipped instance documents (see
+    documents.load_instance); the oracle, proof and combination rows follow
+    them."""
     from .documents import shipped_instances  # deferred: documents imports this module
     from .tspp import check_slice_identity, check_support
 
@@ -302,49 +292,43 @@ def regression_suite(
         else:
             entries.append(SuiteEntry(name, "fail", f"first mismatch at n = {mismatch}"))
 
-    oracle_claims = list(known_congruences()) + [
-        CongruenceClaim("f", 1250, 125, 125),
-        CongruenceClaim("f", 1250, 1125, 125),
-        CongruenceClaim("f", 2750, 825, 11),
-        CongruenceClaim("f", 2750, 1925, 11),
-        CongruenceClaim("f", 2750, 825, 55),
-        CongruenceClaim("f", 2750, 1925, 55),
+    docs = shipped_instances() if instances is None else instances
+    known = known_congruences()
+    # (cited congruence, instance claim, combined claim)
+    combinations = [
+        (c, doc.claim, replace(doc.claim, modulus=c.modulus * doc.claim.modulus))
+        for doc in docs
+        for c in known
+        if c.contains(doc.claim) and gcd(c.modulus, doc.claim.modulus) == 1
     ]
+    oracle_claims = [*known, *(doc.claim for doc in docs), *(t for _, _, t in combinations)]
     for claim in oracle_claims:
         if oracle_max <= 0:
             entries.append(SuiteEntry(f"oracle {claim.describe()}", "skip", "disabled"))
             continue
         entries.append(_entry_from_check(oracle_check(claim, oracle_max)))
 
-    docs = shipped_instances() if instances is None else instances
-    proved: list[ProofReport] = []
+    proved: dict[CongruenceClaim, ProofReport] = {}
     for doc in docs:
         name = f"proof {doc.claim.describe()}"
         report = prove_tspp_congruence(doc.claim, doc.hints)
         if report.verdict == PROVED:
             floors = sorted({c.bound_floor for c in report.certificates})
             entries.append(SuiteEntry(name, "pass", f"bound floor {floors}"))
-            proved.append(report)
+            proved[doc.claim] = report
         else:
             entries.append(SuiteEntry(name, "fail", report.detail or report.verdict))
 
-    cited = AssumedCongruence(
-        CongruenceClaim("f", 10, 5, 5),
-        "previously published congruence, assumed without reproof",
-        oracle_max,
-    )
-    for step, offset in ((2750, 825), (2750, 1925)):
-        name = f"combined f({step}n+{offset}) = 0 (mod 55)"
-        base = [
-            r
-            for r in proved
-            if (r.claim.step, r.claim.offset) == (step, offset) and r.claim.modulus == 11
-        ]
-        if not base:
-            entries.append(SuiteEntry(name, "skip", "mod 11 proof unavailable"))
+    for c, claim, target in combinations:
+        name = f"combined {target.describe()}"
+        if claim not in proved:
+            entries.append(SuiteEntry(name, "skip", f"mod {claim.modulus} proof unavailable"))
             continue
-        combined = combine_congruences(base, [cited])
-        ok = combined.verdict == PROVED_MODULO_CITATIONS and combined.claim.modulus == 55
+        cited = AssumedCongruence(
+            c, "previously published congruence, assumed without reproof", oracle_max
+        )
+        combined = combine_congruences([proved[claim]], [cited])
+        ok = combined.verdict == PROVED_MODULO_CITATIONS and combined.claim == target
         entries.append(
             SuiteEntry(name, "pass" if ok else "fail", f"verdict {combined.verdict}")
         )

@@ -63,6 +63,14 @@ class CongruenceClaim:
         name = {"f": "f", "g": "g", "gap": f"g[{self.alpha},{self.p}]"}[self.sequence]
         return f"{name}({self.step}n+{self.offset}) = 0 (mod {self.modulus})"
 
+    def contains(self, other: CongruenceClaim) -> bool:
+        """Whether other's progression lies inside this claim's, on the same sequence."""
+        return (
+            (self.sequence, self.alpha, self.p) == (other.sequence, other.alpha, other.p)
+            and other.step % self.step == 0
+            and other.offset % self.step == self.offset
+        )
+
 
 @dataclass(frozen=True)
 class ReductionStep:

@@ -115,7 +115,11 @@ class CuspEntry:
 class VerificationBound(NamedTuple):
     v: Fraction
     v_floor: int
-    t_min: int
+    orbit: tuple[int, ...]
+
+    @property
+    def t_min(self) -> int:
+        return self.orbit[0]
 
 
 @dataclass(frozen=True)
@@ -330,17 +334,18 @@ def verification_bound(instance: VerificationInstance) -> VerificationBound:
     v = (1/24)*((sum r + sum r')*index - sum d*r') - (1/(24m))*sum d*r
         - t_min/m
     with t_min the smallest orbit member.  Everything is exact; the floor is
-    integer division, correct for negative values too.
+    integer division, correct for negative values too.  The sorted orbit is
+    returned with the bound.
     """
-    t_min = min(orbit(instance))
+    members = orbit(instance)
     idx = index_gamma0(instance.N)
     total = instance.r.exponent_sum() + instance.r_prime.exponent_sum()
     v = (
         Fraction(total * idx - instance.r_prime.weighted_exponent_sum(), 24)
         - Fraction(instance.r.weighted_exponent_sum(), 24 * instance.m)
-        - Fraction(t_min, instance.m)
+        - Fraction(members[0], instance.m)
     )
-    return VerificationBound(v, floor(v), t_min)
+    return VerificationBound(v, floor(v), members)
 
 
 @lru_cache(maxsize=6)
@@ -363,7 +368,6 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     """
     report = admissibility_check(instance)
     kap = kappa(instance.m)
-    members = orbit(instance)
     reps = coset_reps(instance.N)
     cusps = []
     for rep in reps:
@@ -371,6 +375,7 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
         aux = aux_cusp_order(rep, instance.r_prime)
         cusps.append(CuspEntry(rep, eta_ord, aux, eta_ord + aux, lam))
     bound = verification_bound(instance)
+    members = bound.orbit
 
     failure = None
     if not report.passed:

@@ -64,8 +64,19 @@ def test_expand_usage_errors(capsys, tmp_path):
     assert main(["expand", "--seq", "eta", "--order", "3"]) == 2
     assert main(["expand", "--seq", "f", "--order", "-1"]) == 2
     bad_spec = tmp_path / "spec.json"
-    bad_spec.write_text('{"M": 2}', encoding="utf-8")
-    assert main(["expand", "--seq", "eta", "--spec", str(bad_spec), "--order", "3"]) == 2
+    for text in (
+        '{"M": 2}',
+        '{"M": 2, "r": {"1": -2.7}}',
+        '{"M": 2, "r": {"1": true}}',
+        '{"M": 10.0, "r": {"1": 1}}',
+        '{"M": 2, "r": {"1.0": 1}}',
+        '{"M": 2, "r": [1]}',
+        '[2]',
+        '{"M": 2, "r": {"1": 1}, "x": 0}',
+    ):
+        bad_spec.write_text(text, encoding="utf-8")
+        assert main(["expand", "--seq", "eta", "--spec", str(bad_spec), "--order", "3"]) == 2, text
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_prove_shipped_instance(tmp_path, capsys):
@@ -87,16 +98,34 @@ def test_prove_output_is_deterministic(tmp_path, capsys):
 
 
 def test_prove_validation_failure_exits_2(tmp_path, capsys):
+    # f(12n+1) reduces to slice-variant claims with the even step 6
     path = write_instance(
         tmp_path,
         {
-            "claim": {"sequence": "f", "A": 1250, "B": 125, "u": 125},
+            "claim": {"sequence": "f", "A": 12, "B": 1, "u": 5},
             "hints": {"N": 10, "r_prime": {"1": 13}},
-            "overrides": {"t": 625},
         },
     )
     assert main(["prove", "--instance", path, "--out", str(tmp_path / "c.json")]) == 2
-    assert "seed residue" in capsys.readouterr().err
+    assert "step 6 is even" in capsys.readouterr().err
+
+
+def test_prove_rejects_overrides_of_a_false_claim(tmp_path, capsys):
+    # f(1) = 1, so the claim is false; overrides once let it print PROVED
+    path = write_instance(
+        tmp_path,
+        {
+            "claim": {"sequence": "f", "A": 6, "B": 1, "u": 5},
+            "hints": {"N": 5, "r_prime": {"1": 5}},
+            "overrides": {"m": 5, "t": 4, "r": {"M": 1, "exponents": {"1": -1}}},
+        },
+    )
+    out = tmp_path / "c.json"
+    assert main(["prove", "--instance", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown field(s) ['overrides']" in captured.err
+    assert "PROVED" not in captured.out
+    assert not out.exists()
 
 
 def test_prove_unknown_field_exits_2(tmp_path, capsys):
@@ -129,20 +158,21 @@ def test_prove_not_reducible_exits_3(tmp_path, capsys):
 
 
 def test_prove_failed_verification_exits_3(tmp_path, capsys):
+    # without the auxiliary factor a cusp bound goes negative
     path = write_instance(
         tmp_path,
         {
             "claim": {"sequence": "f", "A": 1250, "B": 125, "u": 125},
-            "hints": {"N": 10, "r_prime": {"1": 13}},
-            "overrides": {"t": 230},
+            "hints": {"N": 10, "r_prime": {"1": 0}},
         },
     )
     out = tmp_path / "c.json"
     assert main(["prove", "--instance", path, "--out", str(out)]) == 3
-    capsys.readouterr()
+    assert "cusp bound negative" in capsys.readouterr().err
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["verdict"] == "FAILED"
     assert payload["certificates"][0]["verdict"] == "FAILED"
+    assert payload["certificates"][0]["admissibility"]["passed"] is True
 
 
 def test_regress_with_skipped_oracle(capsys):

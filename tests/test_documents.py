@@ -1,6 +1,7 @@
 """Instance-file parsing, strictness, and deterministic serialization."""
 
 import json
+import re
 
 import pytest
 
@@ -42,16 +43,6 @@ def test_parse_fills_missing_divisors():
     assert '"10": 0' in dump_instance(doc)
 
 
-def test_parse_overrides():
-    text = """{"claim": {"sequence": "f", "A": 1250, "B": 125, "u": 125},
-               "hints": {"N": 10, "r_prime": {"1": 13}},
-               "overrides": {"t": 230, "r": {"M": 10, "exponents": {"1": 5}}}}"""
-    doc = parse_instance(text)
-    assert doc.hints.t == 230
-    assert doc.hints.r == tc.EtaQuotientSpec(10, {1: 5})
-    assert parse_instance(dump_instance(doc)) == doc
-
-
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -64,6 +55,19 @@ def test_parse_overrides():
         (lambda d: d["hints"]["r_prime"].__setitem__("x", 1), "not an integer"),
         (lambda d: d["oracle"].__setitem__("max_index", -1), "nonnegative"),
         (lambda d: d.pop("hints"), "missing field"),
+        pytest.param(
+            lambda d: d.__setitem__("overrides", {"t": 230}),
+            re.escape("unknown field(s) ['overrides']"),
+            id="overrides",
+        ),
+        pytest.param(
+            lambda d: d["claim"].update(sequence="gap", A=625, B=229, alpha=3, p=5),
+            re.escape("unknown field(s) ['alpha', 'p']"),
+            id="gap-claim",
+        ),
+        pytest.param(
+            lambda d: d["claim"].__setitem__("sequence", "g"), "sequence must be 'f'", id="g-claim"
+        ),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, message):

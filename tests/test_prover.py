@@ -71,14 +71,12 @@ def test_prove_not_reducible_verdict():
     assert report.certificates == ()
 
 
-def test_prove_with_broken_override_fails(shipped_docs):
-    doc = shipped_docs[0]
-    hints = tc.InstanceHints(
-        doc.hints.group_level, doc.hints.r_prime, t=230
-    )
-    report = tc.prove_tspp_congruence(doc.claim, hints)
+def test_prove_with_inadmissible_hints_fails(shipped_docs):
+    # N = 5 leaves the divisor 2 of the eta quotient outside m*N = 3125
+    hints = tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 13}))
+    report = tc.prove_tspp_congruence(shipped_docs[0].claim, hints)
     assert report.verdict == FAILED
-    assert "admissibility" in report.detail
+    assert "admissibility condition failed: eta_divisors_divide_mN" in report.detail
 
 
 def test_verified_claim_agrees_with_oracle(shipped_docs):
@@ -163,25 +161,76 @@ def test_regression_suite_smoke(shipped_docs):
     assert all(s == "pass" for s in statuses.values())
 
 
+SUITE_ROWS = [
+    "support",
+    "slice-identity",
+    "congruence g[3,5] = g (mod 125)",
+    "congruence g[1,11] = g (mod 11)",
+    "congruence g[2,5] = g (mod 25)",
+    "congruence g[1,5] = g (mod 5)",
+    "congruence g[2,2] = g (mod 4)",
+    "oracle f(10n+5) = 0 (mod 5)",
+    "oracle f(250n+125) = 0 (mod 25)",
+    "oracle f(8n+3) = 0 (mod 4)",
+    "oracle f(1250n+125) = 0 (mod 125)",
+    "oracle f(1250n+1125) = 0 (mod 125)",
+    "oracle f(2750n+825) = 0 (mod 11)",
+    "oracle f(2750n+1925) = 0 (mod 11)",
+    "oracle f(2750n+825) = 0 (mod 55)",
+    "oracle f(2750n+1925) = 0 (mod 55)",
+    "proof f(1250n+125) = 0 (mod 125)",
+    "proof f(1250n+1125) = 0 (mod 125)",
+    "proof f(2750n+825) = 0 (mod 11)",
+    "proof f(2750n+1925) = 0 (mod 11)",
+    "combined f(2750n+825) = 0 (mod 55)",
+    "combined f(2750n+1925) = 0 (mod 55)",
+]
+
+
 def test_regression_suite_skips_oracle_rows():
     suite = tc.regression_suite(
         oracle_max=0, exact_max=0, congruence_order=0, support_order=0
     )
     assert suite.passed
+    assert [e.name for e in suite.entries] == SUITE_ROWS
     statuses = [e.status for e in suite.entries if e.name.startswith("oracle")]
     assert statuses and all(s == "skip" for s in statuses)
     proof_rows = [e for e in suite.entries if e.name.startswith("proof")]
     assert proof_rows and all(e.status == "pass" for e in proof_rows)
 
 
+def test_regression_suite_derives_combinations(shipped_docs):
+    # a combined row needs a known congruence containing an instance claim
+    # with a coprime modulus: f(10n+5) = 0 (mod 5) and a mod-11 claim
+    def rows(docs):
+        suite = tc.regression_suite(
+            oracle_max=0, exact_max=0, congruence_order=0, support_order=0, instances=docs
+        )
+        return [e.name for e in suite.entries if e.status != "skip"], suite
+
+    names, suite = rows([shipped_docs[2]])
+    assert suite.passed
+    assert "oracle f(2750n+825) = 0 (mod 55)" in [e.name for e in suite.entries]
+    assert names == ["proof f(2750n+825) = 0 (mod 11)", "combined f(2750n+825) = 0 (mod 55)"]
+
+    broken = tc.InstanceDocument(
+        shipped_docs[2].claim, tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 6})), 0
+    )
+    _, suite = rows([broken])
+    assert [(e.name, e.status, e.detail) for e in suite.entries if e.name.startswith("combined")] == [
+        ("combined f(2750n+825) = 0 (mod 55)", "skip", "mod 11 proof unavailable")
+    ]
+
+    names, suite = rows(shipped_docs[:2])
+    assert suite.passed
+    assert not any("mod 55" in e.name for e in suite.entries)
+    assert names == ["proof f(1250n+125) = 0 (mod 125)", "proof f(1250n+1125) = 0 (mod 125)"]
+
+
 def test_regression_suite_reports_injected_failure(shipped_docs):
     corrupted = tc.InstanceDocument(
         shipped_docs[0].claim,
-        tc.InstanceHints(
-            shipped_docs[0].hints.group_level,
-            shipped_docs[0].hints.r_prime,
-            t=230,
-        ),
+        tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 13})),
         0,
     )
     suite = tc.regression_suite(

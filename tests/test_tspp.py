@@ -103,6 +103,18 @@ def test_claim_validation():
     assert claim.describe() == "g[3,5](625n+229) = 0 (mod 125)"
 
 
+def test_claim_containment():
+    cited = tc.CongruenceClaim("f", 10, 5, 5)
+    assert cited.contains(tc.CongruenceClaim("f", 2750, 825, 11))
+    assert cited.contains(tc.CongruenceClaim("f", 10, 5, 7))  # the modulus plays no part
+    assert not cited.contains(tc.CongruenceClaim("f", 2750, 826, 11))  # other residue
+    assert not cited.contains(tc.CongruenceClaim("f", 25, 5, 11))  # step not a multiple
+    assert not cited.contains(tc.CongruenceClaim("g", 2750, 825, 11))  # other sequence
+    gap = tc.CongruenceClaim("gap", 5, 4, 125, alpha=3, p=5)
+    assert gap.contains(tc.CongruenceClaim("gap", 625, 229, 125, alpha=3, p=5))
+    assert not gap.contains(tc.CongruenceClaim("gap", 625, 229, 11, alpha=1, p=11))
+
+
 @pytest.mark.parametrize(
     "A,B,u,expected_m,expected_t,expected_alpha,expected_p,verify_class",
     [
