@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import tspp
 from .documents import (
     DocumentError,
     canonical_json,
@@ -25,7 +26,6 @@ from .prover import (
     regression_suite,
 )
 from .series import INTEGERS, eta_quotient, residues_mod
-from .tspp import slice_series, slice_variant_series, tspp_series
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,13 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _expand_series(args):
     ring = INTEGERS if args.mod is None else residues_mod(args.mod)
     if args.seq == "f":
-        return tspp_series(args.order, ring)
+        return tspp.tspp_series(args.order, ring)
     if args.seq == "g":
-        return slice_series(args.order, ring)
+        return tspp.slice_series(args.order, ring)
     if args.seq == "gap":
         if args.alpha is None or args.p is None:
             raise DocumentError("--seq gap needs --alpha and --p")
-        return slice_variant_series(args.alpha, args.p, args.order, ring)
+        return tspp.slice_variant_series(args.alpha, args.p, args.order, ring)
     if args.spec is None:
         raise DocumentError("--seq eta needs --spec")
     return eta_quotient(load_eta_spec(args.spec), args.order, ring)
@@ -89,26 +89,41 @@ def _cmd_expand(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines = "".join(f"{n}\t{c}\n" for n, c in enumerate(series.coeffs))
-    if args.out:
-        Path(args.out).write_text(lines, encoding="utf-8")
-    else:
-        sys.stdout.write(lines)
+    try:
+        if args.out:
+            Path(args.out).write_text(lines, encoding="utf-8")
+        else:
+            sys.stdout.write(lines)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def _cmd_prove(args) -> int:
+    out = Path(args.out)
     try:
         doc = load_instance(args.instance)
     except (OSError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not out.parent.is_dir():
+        print(f"error: output directory {out.parent} does not exist", file=sys.stderr)
         return 2
     try:
         report = prove_tspp_congruence(doc.claim, doc.hints)
     except ValueError as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
         return 2
-    oracle = oracle_check(doc.claim, doc.oracle_max) if doc.oracle_max > 0 else None
-    Path(args.out).write_text(canonical_json(report_to_doc(report, oracle)), encoding="utf-8")
+    oracle = None
+    if doc.oracle_max > 0:
+        counts = tspp.tspp_series(doc.oracle_max, residues_mod(doc.claim.modulus))
+        oracle = oracle_check(doc.claim, counts)
+    try:
+        out.write_text(canonical_json(report_to_doc(report, oracle)), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{doc.claim.describe()}: {report.verdict}")
     if report.verdict not in (PROVED, PROVED_MODULO_CITATIONS):
         if report.detail:

@@ -11,10 +11,11 @@ InstanceHints.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .series import EtaQuotientSpec, residues_mod
+from .arith import prime_power
+from .series import EtaQuotientSpec, TruncatedSeries, residues_mod
 from .tspp import (
     CheckReport,
     CongruenceClaim,
@@ -186,35 +187,27 @@ def combine_congruences(
     )
 
 
-def oracle_check(claim: CongruenceClaim, max_index: int) -> CheckReport:
-    """Test a claim directly against the named series, expanded mod u.
+def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport:
+    """Test an "f" claim against an expansion of the counting series.
 
-    This path shares nothing with the verifier beyond the series primitives,
-    which is what makes it a meaningful cross-check.
+    counts is tspp_series over Z or over Z/M with u | M; each coefficient is
+    reduced mod u, so one expansion serves every claim whose modulus divides
+    M.  This path shares nothing with the verifier beyond the series
+    primitives, which is what makes it a meaningful cross-check.
     """
-    ring = residues_mod(claim.modulus)
-    if claim.sequence == "f":
-        series = tspp_series(max_index, ring)
-    elif claim.sequence == "g":
-        series = slice_series(max_index, ring)
-    else:
-        series = slice_variant_series(claim.alpha, claim.p, max_index, ring)
+    u = claim.modulus
+    if claim.sequence != "f":
+        raise ValueError(f"the oracle checks claims about f, got {claim.describe()}")
+    if counts.ring.modulus is not None and counts.ring.modulus % u != 0:
+        raise ValueError(f"counts over {counts.ring!r} do not determine residues mod {u}")
     name = f"oracle {claim.describe()}"
     checked = 0
-    n = 0
-    while claim.step * n + claim.offset <= max_index:
-        idx = claim.step * n + claim.offset
+    for idx in range(claim.offset, counts.order + 1, claim.step):
         checked += 1
-        if series[idx] != 0:
-            return CheckReport(
-                name,
-                checked,
-                False,
-                idx,
-                f"coefficient {idx} is {series[idx]} (mod {claim.modulus})",
-            )
-        n += 1
-    return CheckReport(name, checked, True, None, f"indices <= {max_index}")
+        residue = counts[idx] % u
+        if residue:
+            return CheckReport(name, checked, False, idx, f"coefficient {idx} is {residue} (mod {u})")
+    return CheckReport(name, checked, True, None, f"indices <= {counts.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +239,45 @@ def _entry_from_check(report: CheckReport) -> SuiteEntry:
     )
 
 
-def regression_suite(
-    oracle_max: int = 50_000,
-    exact_max: int = 5_000,
-    congruence_order: int = 2_000,
-    support_order: int = 10_000,
-    instances=None,
-) -> SuiteReport:
-    """Run every standing check: support and slice identity of the counting
-    series, the slice-variant congruences, oracle checks of the known and of
-    the newly proved congruences, and the full verification of the shipped
-    instances.  Each known congruence that contains an instance claim with a
-    coprime modulus adds the combined congruence on that claim's progression.
+def regression_suite(oracle_max: int = 50_000, instances=None) -> SuiteReport:
+    """Run every standing check, in this order:
+
+    * support and slice identity of the counting series, exactly, to 10 000
+      and 5 000;
+    * g[alpha,p] = g (mod p**alpha) to n = 2 000, for each (p, alpha) =
+      prime_power(u) of the instance moduli, then of the known moduli;
+    * an oracle row for each known congruence, each instance claim and each
+      combination below, all read from one expansion of f to oracle_max
+      modulo the lcm of their moduli (oracle_max <= 0 skips them);
+    * the proof of each instance claim;
+    * for each known congruence that contains an instance claim with a
+      coprime modulus, the combined congruence on that claim's progression.
+
     Passing instances=... substitutes the shipped instance documents (see
-    documents.load_instance); the oracle, proof and combination rows follow
-    them."""
+    documents.load_instance); every row after the first two follows them."""
     from .documents import shipped_instances  # deferred: documents imports this module
     from .tspp import check_slice_identity, check_support
 
-    entries: list[SuiteEntry] = []
+    docs = shipped_instances() if instances is None else instances
+    known = known_congruences()
+    entries = [
+        _entry_from_check(check_support(10_000)),
+        _entry_from_check(check_slice_identity(5_000)),
+    ]
 
-    if support_order > 0:
-        entries.append(_entry_from_check(check_support(support_order)))
-    else:
-        entries.append(SuiteEntry("support", "skip", "disabled"))
-
-    if exact_max > 0:
-        entries.append(_entry_from_check(check_slice_identity(exact_max)))
-    else:
-        entries.append(SuiteEntry("slice-identity", "skip", "disabled"))
-
-    for alpha, p in ((3, 5), (1, 11), (2, 5), (1, 5), (2, 2)):
+    order = 2_000
+    moduli = [doc.claim.modulus for doc in docs] + [c.modulus for c in known]
+    for p, alpha in filter(None, dict.fromkeys(map(prime_power, moduli))):
         name = f"congruence g[{alpha},{p}] = g (mod {p**alpha})"
-        if congruence_order <= 0:
-            entries.append(SuiteEntry(name, "skip", "disabled"))
-            continue
         ring = residues_mod(p**alpha)
-        variant = slice_variant_series(alpha, p, congruence_order, ring)
-        plain = slice_series(congruence_order, ring)
-        mismatch = next(
-            (n for n in range(congruence_order + 1) if variant[n] != plain[n]), None
-        )
+        variant = slice_variant_series(alpha, p, order, ring)
+        plain = slice_series(order, ring)
+        mismatch = next((n for n in range(order + 1) if variant[n] != plain[n]), None)
         if mismatch is None:
-            entries.append(SuiteEntry(name, "pass", f"n <= {congruence_order}"))
+            entries.append(SuiteEntry(name, "pass", f"n <= {order}"))
         else:
             entries.append(SuiteEntry(name, "fail", f"first mismatch at n = {mismatch}"))
 
-    docs = shipped_instances() if instances is None else instances
-    known = known_congruences()
     # (cited congruence, instance claim, combined claim)
     combinations = [
         (c, doc.claim, replace(doc.claim, modulus=c.modulus * doc.claim.modulus))
@@ -302,11 +286,14 @@ def regression_suite(
         if c.contains(doc.claim) and gcd(c.modulus, doc.claim.modulus) == 1
     ]
     oracle_claims = [*known, *(doc.claim for doc in docs), *(t for _, _, t in combinations)]
-    for claim in oracle_claims:
-        if oracle_max <= 0:
-            entries.append(SuiteEntry(f"oracle {claim.describe()}", "skip", "disabled"))
-            continue
-        entries.append(_entry_from_check(oracle_check(claim, oracle_max)))
+    if oracle_max > 0:
+        ring = residues_mod(lcm(*(claim.modulus for claim in oracle_claims)))
+        counts = tspp_series(oracle_max, ring)
+        entries += [_entry_from_check(oracle_check(claim, counts)) for claim in oracle_claims]
+    else:
+        entries += [
+            SuiteEntry(f"oracle {claim.describe()}", "skip", "disabled") for claim in oracle_claims
+        ]
 
     proved: dict[CongruenceClaim, ProofReport] = {}
     for doc in docs:

@@ -59,10 +59,6 @@ class CoefficientRing:
         if self.modulus is not None and self.modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {self.modulus}")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.modulus is None
-
     def normalize(self, value: int) -> int:
         return value if self.modulus is None else value % self.modulus
 
@@ -112,11 +108,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"exponent {n} outside the known range 0..{self.order}")
         return self.coeffs[n]
-
-    def nonzero_terms(self, limit: int | None = None) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs with nonzero coefficient, ascending."""
-        top = self.order if limit is None else min(limit, self.order)
-        return [(e, c) for e, c in enumerate(self.coeffs[: top + 1]) if c]
 
     def reduced(self, u: int) -> "TruncatedSeries":
         """The coefficientwise image in Z/u."""

@@ -11,7 +11,6 @@ progressions, which is what the verifier in the verification module consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +32,8 @@ class NotReducibleError(ValueError):
 class CongruenceClaim:
     """The assertion sequence(step*n + offset) = 0 (mod modulus) for all n >= 0.
 
-    sequence is one of "f" (the shell partition counts), "g" (the slice
-    series) or "gap" (the slice variant, which also needs alpha and p).
+    sequence is "f" (the shell partition counts) or "gap" (the slice
+    variant, which also needs alpha and p).
     """
 
     sequence: str
@@ -45,7 +44,7 @@ class CongruenceClaim:
     p: int | None = None
 
     def __post_init__(self):
-        if self.sequence not in ("f", "g", "gap"):
+        if self.sequence not in ("f", "gap"):
             raise ValueError(f"unknown sequence {self.sequence!r}")
         if self.step < 1:
             raise ValueError(f"step must be positive, got {self.step}")
@@ -60,7 +59,7 @@ class CongruenceClaim:
             raise ValueError(f"alpha/p make no sense for sequence {self.sequence!r}")
 
     def describe(self) -> str:
-        name = {"f": "f", "g": "g", "gap": f"g[{self.alpha},{self.p}]"}[self.sequence]
+        name = "f" if self.sequence == "f" else f"g[{self.alpha},{self.p}]"
         return f"{name}({self.step}n+{self.offset}) = 0 (mod {self.modulus})"
 
     def contains(self, other: CongruenceClaim) -> bool:
@@ -114,15 +113,11 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return TruncatedSeries(ring, _tspp_coeffs(order, ring.modulus))
-
-
-@lru_cache(maxsize=8)
-def _tspp_coeffs(order: int, modulus: int | None) -> tuple[int, ...]:
+    modulus = ring.modulus
     out = [0] * (order + 1)
-    out[0] = 1 if modulus is None else 1 % modulus
+    out[0] = 1
     if order < 1:
-        return tuple(out)
+        return TruncatedSeries(ring, tuple(out))
     # slot j of the compressed arrays is the coefficient of q^(3j+1)
     lc = (order - 1) // 3 + 1
     # values at most double per factor; reducing every 16 steps keeps
@@ -143,7 +138,7 @@ def _tspp_coeffs(order: int, modulus: int | None) -> tuple[int, ...]:
     if modulus is not None:
         np.remainder(acc, modulus, out=acc)
     out[1::3] = acc.tolist()
-    return tuple(out)
+    return TruncatedSeries(ring, tuple(out))
 
 
 def slice_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:

@@ -172,26 +172,29 @@ def orbit(instance: VerificationInstance) -> tuple[int, ...]:
     """Residues reachable from t under the square-class action, sorted.
 
     Each square s of a unit mod 24m sends t to t*s + (s-1)/24 * sum(d*r_d),
-    taken mod m.  Squares of units are 1 mod 24, which makes (s-1)/24 an
-    integer; this is asserted rather than assumed.
+    taken mod m.  A unit mod 24 squares to 1 mod 24, so (s-1)/24 is an
+    integer.
     """
     w = instance.r.weighted_exponent_sum()
-    out = set()
-    for s in squares_mod(24 * instance.m):
-        if (s - 1) % 24 != 0:
-            raise ArithmeticError(
-                f"square class {s} is not 1 mod 24; the orbit map is undefined"
-            )
-        out.add((instance.t * s + (s - 1) // 24 * w) % instance.m)
-    return tuple(sorted(out))
+    m = instance.m
+    members = {(instance.t * s + (s - 1) // 24 * w) % m for s in squares_mod(24 * m)}
+    return tuple(sorted(members))
 
 
 def coset_reps(N: int) -> tuple[CosetRep, ...]:
     """The matrices (1 0; d 1) for the divisors d of N, ascending.
 
-    For squarefree-times-small levels like the ones used here this family
-    covers all cusp classes that the verification needs.
+    Gamma0(N) has sum over d | N of phi(gcd(d, N/d)) cusps, and (1 0; d 1)
+    stands for the cusp 1/d.  So these matrices meet every cusp exactly when
+    each gcd(d, N/d) is 1 or 2; any other level (9, 16, 25, 50, ...) raises
+    UnsupportedInstanceError rather than skip cusp conditions.
     """
+    wide = [d for d in divisors(N) if gcd(d, N // d) > 2]
+    if wide:
+        raise UnsupportedInstanceError(
+            f"group level {N} is not supported: each divisor d in {wide} carries "
+            "phi(gcd(d, N/d)) > 1 cusps, but only the cusp 1/d is enumerated"
+        )
     return tuple(CosetRep(1, 0, d, 1) for d in divisors(N))
 
 

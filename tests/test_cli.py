@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tsppcong as tc
+from tsppcong import cli
 from tsppcong.cli import main
 from tsppcong.documents import shipped_instance
 
@@ -53,6 +54,14 @@ def test_expand_writes_file(tmp_path):
     out = tmp_path / "coeffs.tsv"
     assert main(["expand", "--seq", "f", "--order", "4", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == "0\t1\n1\t1\n2\t0\n3\t0\n4\t1\n"
+
+
+def test_expand_write_errors_exit_2(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "coeffs.tsv", tmp_path):
+        assert main(["expand", "--seq", "f", "--order", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == ""
 
 
 def test_expand_usage_errors(capsys, tmp_path):
@@ -124,6 +133,50 @@ def test_prove_rejects_overrides_of_a_false_claim(tmp_path, capsys):
     assert main(["prove", "--instance", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "unknown field(s) ['overrides']" in captured.err
+    assert "PROVED" not in captured.out
+    assert not out.exists()
+
+
+def test_prove_missing_output_directory_exits_2_before_proving(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("proved before checking the output directory")
+
+    monkeypatch.setattr(cli, "prove_tspp_congruence", unreachable)
+    out = tmp_path / "missing" / "c.json"
+    assert main(["prove", "--instance", INSTANCE_PATH, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: output directory {out.parent} does not exist" in captured.err
+    assert captured.out == ""
+
+
+def test_prove_write_error_exits_2(tmp_path, capsys):
+    # f(6n+4) is not reducible, so the proof ends at once; the write then fails
+    path = write_instance(
+        tmp_path,
+        {
+            "claim": {"sequence": "f", "A": 6, "B": 4, "u": 5},
+            "hints": {"N": 10, "r_prime": {"1": 13}},
+        },
+    )
+    assert main(["prove", "--instance", path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("level", [9, 16, 25, 50])
+def test_prove_level_with_missing_cusps_exits_2(tmp_path, capsys, level):
+    path = write_instance(
+        tmp_path,
+        {
+            "claim": {"sequence": "f", "A": 1250, "B": 125, "u": 125},
+            "hints": {"N": level, "r_prime": {"1": 13}},
+        },
+    )
+    out = tmp_path / "c.json"
+    assert main(["prove", "--instance", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"group level {level} is not supported" in captured.err
     assert "PROVED" not in captured.out
     assert not out.exists()
 

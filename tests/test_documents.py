@@ -111,7 +111,8 @@ def test_certificate_document_uses_exact_fraction_strings(instance1, certificate
 def test_report_document_shape(shipped_docs):
     doc = shipped_docs[0]
     report = tc.prove_tspp_congruence(doc.claim, doc.hints)
-    payload = report_to_doc(report, tc.oracle_check(doc.claim, 2000))
+    oracle = tc.oracle_check(doc.claim, tc.tspp_series(2000, tc.residues_mod(125)))
+    payload = report_to_doc(report, oracle)
     assert payload["format"] == "tsppcong.proof/1"
     assert payload["verdict"] == "PROVED"
     assert payload["claim"] == {"sequence": "f", "A": 1250, "B": 125, "u": 125}

@@ -81,23 +81,44 @@ def test_prove_with_inadmissible_hints_fails(shipped_docs):
 
 def test_verified_claim_agrees_with_oracle(shipped_docs):
     # the two pipelines share only the series primitives
+    counts = tc.tspp_series(20_000, tc.residues_mod(125 * 11))
     for doc in shipped_docs:
-        check = tc.oracle_check(doc.claim, 20_000)
+        check = tc.oracle_check(doc.claim, counts)
         assert check.passed, check.detail
 
 
 def test_oracle_check_counts_and_violations():
-    ok = tc.oracle_check(tc.CongruenceClaim("f", 10, 5, 5), 3_000)
+    ok = tc.oracle_check(tc.CongruenceClaim("f", 10, 5, 5), tc.tspp_series(3_000, tc.residues_mod(25)))
     assert ok.passed and ok.checked == 300
+    assert ok.detail == "indices <= 3000"
 
-    bad = tc.oracle_check(tc.CongruenceClaim("f", 1, 0, 2), 50)
+    bad = tc.oracle_check(tc.CongruenceClaim("f", 1, 0, 2), tc.tspp_series(50, tc.residues_mod(6)))
     assert not bad.passed
     assert bad.first_violation == 0  # the count at index 0 is 1
+    assert bad.detail == "coefficient 0 is 1 (mod 2)"
 
-    gap = tc.oracle_check(
-        tc.CongruenceClaim("gap", 625, 229, 125, alpha=3, p=5), 5_000
-    )
-    assert gap.passed and gap.checked == 8
+    # f(1) = 1, read mod 4 from a mod-12 expansion
+    bad = tc.oracle_check(tc.CongruenceClaim("f", 3, 1, 4), tc.tspp_series(50, tc.residues_mod(12)))
+    assert (bad.first_violation, bad.detail) == (1, "coefficient 1 is 1 (mod 4)")
+
+
+def test_oracle_check_accepts_exact_counts():
+    exact = tc.tspp_series(3_000)
+    assert exact.ring == tc.INTEGERS
+    for claim in tc.known_congruences():
+        check = tc.oracle_check(claim, exact)
+        mod = tc.oracle_check(claim, tc.tspp_series(3_000, tc.residues_mod(claim.modulus)))
+        assert check == mod and check.passed
+
+
+def test_oracle_check_rejects_foreign_rings_and_claims():
+    claim = tc.CongruenceClaim("f", 1250, 125, 125)
+    for u in (5, 25, 11, 550):
+        with pytest.raises(ValueError, match="do not determine residues mod 125"):
+            tc.oracle_check(claim, tc.tspp_series(100, tc.residues_mod(u)))
+    gap = tc.CongruenceClaim("gap", 625, 229, 125, alpha=3, p=5)
+    with pytest.raises(ValueError, match="claims about f"):
+        tc.oracle_check(gap, tc.tspp_series(100, tc.residues_mod(125)))
 
 
 def test_combine_congruences_with_citation(proof_825):
@@ -151,9 +172,7 @@ def test_combine_rejects_unproved_inputs(proof_825):
 
 
 def test_regression_suite_smoke(shipped_docs):
-    suite = tc.regression_suite(
-        oracle_max=3_000, exact_max=600, congruence_order=150, support_order=600
-    )
+    suite = tc.regression_suite(oracle_max=3_000)
     assert suite.passed
     statuses = {e.name: e.status for e in suite.entries}
     assert statuses["support"] == "pass"
@@ -166,8 +185,8 @@ SUITE_ROWS = [
     "slice-identity",
     "congruence g[3,5] = g (mod 125)",
     "congruence g[1,11] = g (mod 11)",
-    "congruence g[2,5] = g (mod 25)",
     "congruence g[1,5] = g (mod 5)",
+    "congruence g[2,5] = g (mod 25)",
     "congruence g[2,2] = g (mod 4)",
     "oracle f(10n+5) = 0 (mod 5)",
     "oracle f(250n+125) = 0 (mod 25)",
@@ -188,9 +207,7 @@ SUITE_ROWS = [
 
 
 def test_regression_suite_skips_oracle_rows():
-    suite = tc.regression_suite(
-        oracle_max=0, exact_max=0, congruence_order=0, support_order=0
-    )
+    suite = tc.regression_suite(oracle_max=0)
     assert suite.passed
     assert [e.name for e in suite.entries] == SUITE_ROWS
     statuses = [e.status for e in suite.entries if e.name.startswith("oracle")]
@@ -203,15 +220,26 @@ def test_regression_suite_derives_combinations(shipped_docs):
     # a combined row needs a known congruence containing an instance claim
     # with a coprime modulus: f(10n+5) = 0 (mod 5) and a mod-11 claim
     def rows(docs):
-        suite = tc.regression_suite(
-            oracle_max=0, exact_max=0, congruence_order=0, support_order=0, instances=docs
-        )
+        suite = tc.regression_suite(oracle_max=0, instances=docs)
         return [e.name for e in suite.entries if e.status != "skip"], suite
 
+    # congruence rows: prime_power of the instance moduli, then of the known ones
+    known_rows = [
+        "congruence g[1,5] = g (mod 5)",
+        "congruence g[2,5] = g (mod 25)",
+        "congruence g[2,2] = g (mod 4)",
+    ]
     names, suite = rows([shipped_docs[2]])
     assert suite.passed
     assert "oracle f(2750n+825) = 0 (mod 55)" in [e.name for e in suite.entries]
-    assert names == ["proof f(2750n+825) = 0 (mod 11)", "combined f(2750n+825) = 0 (mod 55)"]
+    assert names == [
+        "support",
+        "slice-identity",
+        "congruence g[1,11] = g (mod 11)",
+        *known_rows,
+        "proof f(2750n+825) = 0 (mod 11)",
+        "combined f(2750n+825) = 0 (mod 55)",
+    ]
 
     broken = tc.InstanceDocument(
         shipped_docs[2].claim, tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 6})), 0
@@ -224,7 +252,12 @@ def test_regression_suite_derives_combinations(shipped_docs):
     names, suite = rows(shipped_docs[:2])
     assert suite.passed
     assert not any("mod 55" in e.name for e in suite.entries)
-    assert names == ["proof f(1250n+125) = 0 (mod 125)", "proof f(1250n+1125) = 0 (mod 125)"]
+    assert names[2:] == [
+        "congruence g[3,5] = g (mod 125)",
+        *known_rows,
+        "proof f(1250n+125) = 0 (mod 125)",
+        "proof f(1250n+1125) = 0 (mod 125)",
+    ]
 
 
 def test_regression_suite_reports_injected_failure(shipped_docs):
@@ -233,13 +266,7 @@ def test_regression_suite_reports_injected_failure(shipped_docs):
         tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 13})),
         0,
     )
-    suite = tc.regression_suite(
-        oracle_max=0,
-        exact_max=0,
-        congruence_order=0,
-        support_order=0,
-        instances=[corrupted],
-    )
+    suite = tc.regression_suite(oracle_max=0, instances=[corrupted])
     assert not suite.passed
     failing = [e for e in suite.entries if e.status == "fail"]
     assert len(failing) == 1

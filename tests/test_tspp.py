@@ -89,6 +89,8 @@ def test_check_slice_identity():
 def test_claim_validation():
     with pytest.raises(ValueError):
         tc.CongruenceClaim("h", 2, 1, 5)
+    with pytest.raises(ValueError, match="unknown sequence 'g'"):
+        tc.CongruenceClaim("g", 2, 1, 5)  # the plain slice series is never a claim
     with pytest.raises(ValueError):
         tc.CongruenceClaim("f", 0, 0, 5)
     with pytest.raises(ValueError):
@@ -109,7 +111,7 @@ def test_claim_containment():
     assert cited.contains(tc.CongruenceClaim("f", 10, 5, 7))  # the modulus plays no part
     assert not cited.contains(tc.CongruenceClaim("f", 2750, 826, 11))  # other residue
     assert not cited.contains(tc.CongruenceClaim("f", 25, 5, 11))  # step not a multiple
-    assert not cited.contains(tc.CongruenceClaim("g", 2750, 825, 11))  # other sequence
+    assert not cited.contains(tc.CongruenceClaim("gap", 2750, 825, 11, alpha=1, p=11))  # other sequence
     gap = tc.CongruenceClaim("gap", 5, 4, 125, alpha=3, p=5)
     assert gap.contains(tc.CongruenceClaim("gap", 625, 229, 125, alpha=3, p=5))
     assert not gap.contains(tc.CongruenceClaim("gap", 625, 229, 11, alpha=1, p=11))
@@ -182,4 +184,4 @@ def test_reduce_claim_rejects_step_not_divisible_by_6():
 
 def test_reduce_claim_only_accepts_counting_sequence():
     with pytest.raises(ValueError):
-        tc.reduce_claim(tc.CongruenceClaim("g", 10, 5, 5))
+        tc.reduce_claim(tc.CongruenceClaim("gap", 10, 5, 5, alpha=1, p=5))

@@ -104,6 +104,7 @@ def test_orbit_depends_only_on_square_class(instance1):
     w = instance1.r.weighted_exponent_sum()
     m = instance1.m
     for s in tc.squares_mod(24 * m):
+        assert (s - 1) % 24 == 0  # what makes the orbit map integral
         base = (instance1.t * s + (s - 1) // 24 * w) % m
         for j in (1, 2):
             lifted = s + 24 * m * j
@@ -116,6 +117,29 @@ def test_coset_reps():
     assert all((r.a, r.b, r.d) == (1, 0, 1) for r in reps)
     assert [r.c for r in tc.coset_reps(110)] == [1, 2, 5, 10, 11, 22, 55, 110]
     assert tc.coset_reps(1) == (tc.CosetRep(1, 0, 1, 1),)
+
+
+def _cusp_count(N):
+    """sum over d | N of phi(gcd(d, N/d)), by brute force."""
+    def phi(g):
+        return sum(1 for a in range(g) if gcd(a, g) == 1)
+
+    return sum(phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
+
+
+def test_coset_reps_meet_every_cusp():
+    accepted = []
+    for N in range(1, 201):
+        try:
+            reps = tc.coset_reps(N)
+        except tc.UnsupportedInstanceError:
+            n_divisors = sum(1 for d in range(1, N + 1) if N % d == 0)
+            assert _cusp_count(N) > n_divisors
+            continue
+        assert len(reps) == _cusp_count(N)
+        accepted.append(N)
+    assert {2, 4, 5, 8, 10, 12, 22, 110} <= set(accepted)
+    assert not {9, 16, 18, 25, 27, 50} & set(accepted)
 
 
 def test_coset_rep_determinant_validated():
