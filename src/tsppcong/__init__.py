@@ -34,6 +34,7 @@ from .verification import (
     AdmissibilityReport,
     Certificate,
     CosetRep,
+    InstanceHints,
     UnsupportedInstanceError,
     VerificationInstance,
     admissibility_check,
@@ -49,7 +50,6 @@ from .verification import (
 )
 from .prover import (
     AssumedCongruence,
-    InstanceHints,
     ProofReport,
     SuiteReport,
     combine_congruences,

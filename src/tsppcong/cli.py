@@ -18,13 +18,7 @@ from .documents import (
     load_instance,
     report_to_doc,
 )
-from .prover import (
-    PROVED,
-    PROVED_MODULO_CITATIONS,
-    oracle_check,
-    prove_tspp_congruence,
-    regression_suite,
-)
+from .prover import ORACLE_MAX, PROVED, oracle_check, prove_tspp_congruence, regression_suite
 from .series import INTEGERS, eta_quotient, residues_mod
 
 
@@ -57,13 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--instance", required=True, help="instance JSON file")
     prove.add_argument("--out", required=True, help="where to write the certificate document")
 
-    regress = sub.add_parser("regress", help="run the full regression suite")
-    regress.add_argument(
-        "--oracle-max",
-        type=int,
-        default=50_000,
-        help="oracle range for the empirical checks (0 skips them)",
-    )
+    sub.add_parser("regress", help="run the full regression suite")
     return parser
 
 
@@ -110,26 +98,26 @@ def _cmd_prove(args) -> int:
     if not out.parent.is_dir():
         print(f"error: output directory {out.parent} does not exist", file=sys.stderr)
         return 2
+    if out.is_dir():
+        print(f"error: output path {out} is a directory", file=sys.stderr)
+        return 2
     try:
         report = prove_tspp_congruence(doc.claim, doc.hints)
     except ValueError as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
         return 2
-    oracle = None
-    if doc.oracle_max > 0:
-        counts = tspp.tspp_series(doc.oracle_max, residues_mod(doc.claim.modulus))
-        oracle = oracle_check(doc.claim, counts)
+    oracle = oracle_check(doc.claim, tspp.tspp_series(ORACLE_MAX, residues_mod(doc.claim.modulus)))
     try:
         out.write_text(canonical_json(report_to_doc(report, oracle)), encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{doc.claim.describe()}: {report.verdict}")
-    if report.verdict not in (PROVED, PROVED_MODULO_CITATIONS):
+    if report.verdict != PROVED:
         if report.detail:
             print(report.detail, file=sys.stderr)
         return 3
-    if oracle is not None and not oracle.passed:
+    if not oracle.passed:
         print(
             f"warning: oracle disagrees with the certificate: {oracle.detail}",
             file=sys.stderr,
@@ -138,8 +126,8 @@ def _cmd_prove(args) -> int:
     return 0
 
 
-def _cmd_regress(args) -> int:
-    suite = regression_suite(oracle_max=args.oracle_max)
+def _cmd_regress() -> int:
+    suite = regression_suite()
     width = max(len(e.name) for e in suite.entries) + 2
     for entry in suite.entries:
         print(f"{entry.name:<{width}} {entry.status.upper():<5} {entry.detail}")
@@ -154,7 +142,7 @@ def main(argv=None) -> int:
         return _cmd_expand(args)
     if args.command == "prove":
         return _cmd_prove(args)
-    return _cmd_regress(args)
+    return _cmd_regress()
 
 
 if __name__ == "__main__":

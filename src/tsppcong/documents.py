@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .prover import AssumedCongruence, InstanceHints, ProofReport
 from .series import EtaQuotientSpec
 from .tspp import CheckReport, CongruenceClaim, ReductionStep
-from .verification import Certificate
+from .verification import Certificate, InstanceHints
+
+if TYPE_CHECKING:  # prover imports this module
+    from .prover import AssumedCongruence, ProofReport
+
 
 class DocumentError(ValueError):
     """A document failed to parse or validate; the message names the field."""
@@ -32,7 +36,6 @@ class DocumentError(ValueError):
 class InstanceDocument:
     claim: CongruenceClaim
     hints: InstanceHints
-    oracle_max: int
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,7 @@ def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}", source)
     top = _require_mapping(doc, source)
-    _check_keys(top, {"claim", "hints", "oracle"}, {"claim", "hints"}, source)
+    _check_keys(top, {"claim", "hints"}, {"claim", "hints"}, source)
 
     claim = _parse_claim(top["claim"], f"{source}.claim")
 
@@ -114,16 +117,7 @@ def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
     if group_level < 1:
         raise DocumentError("N must be positive", f"{source}.hints")
     r_prime = _parse_divisor_map(hints_obj["r_prime"], group_level, f"{source}.hints.r_prime")
-
-    oracle_max = 0
-    if "oracle" in top:
-        oracle = _require_mapping(top["oracle"], f"{source}.oracle")
-        _check_keys(oracle, {"max_index"}, {"max_index"}, f"{source}.oracle")
-        oracle_max = _get_int(oracle, "max_index", f"{source}.oracle")
-        if oracle_max < 0:
-            raise DocumentError("max_index must be nonnegative", f"{source}.oracle")
-
-    return InstanceDocument(claim, InstanceHints(group_level, r_prime), oracle_max)
+    return InstanceDocument(claim, InstanceHints(group_level, r_prime))
 
 
 def load_instance(path) -> InstanceDocument:
@@ -207,7 +201,6 @@ def instance_to_doc(doc: InstanceDocument) -> dict:
             "N": doc.hints.group_level,
             "r_prime": _divisor_map_doc(doc.hints.r_prime),
         },
-        "oracle": {"max_index": doc.oracle_max},
     }
 
 

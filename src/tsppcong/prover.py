@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Sequence
 
+from . import documents, tspp
 from .arith import prime_power
-from .series import EtaQuotientSpec, TruncatedSeries, residues_mod
+from .series import TruncatedSeries, residues_mod
 from .tspp import (
     CheckReport,
     CongruenceClaim,
@@ -27,29 +28,15 @@ from .tspp import (
     slice_variant_spec,
     tspp_series,
 )
-from .verification import Certificate, VerificationInstance, verify_instance
+from .verification import Certificate, InstanceHints, VerificationInstance, verify_instance
 
 PROVED = "PROVED"
 PROVED_MODULO_CITATIONS = "PROVED-MODULO-CITATIONS"
 FAILED = "FAILED"
 NOT_REDUCIBLE = "NOT-REDUCIBLE"
 
-
-@dataclass(frozen=True)
-class InstanceHints:
-    """The verifier parameters that accompany a claim: the group level N and
-    the auxiliary exponent vector r'.  Everything else is derived from the
-    reduced claim."""
-
-    group_level: int
-    r_prime: EtaQuotientSpec
-
-    def __post_init__(self):
-        if self.r_prime.level != self.group_level:
-            raise ValueError(
-                f"auxiliary vector has level {self.r_prime.level}, "
-                f"expected the group level {self.group_level}"
-            )
+# the one range of the brute-force cross-check, for `prove` and `regress`
+ORACLE_MAX = 50_000
 
 
 @dataclass(frozen=True)
@@ -239,30 +226,25 @@ def _entry_from_check(report: CheckReport) -> SuiteEntry:
     )
 
 
-def regression_suite(oracle_max: int = 50_000, instances=None) -> SuiteReport:
-    """Run every standing check, in this order:
+def regression_suite() -> SuiteReport:
+    """Run every standing check on the shipped instance documents, in this
+    order:
 
     * support and slice identity of the counting series, exactly, to 10 000
       and 5 000;
     * g[alpha,p] = g (mod p**alpha) to n = 2 000, for each (p, alpha) =
       prime_power(u) of the instance moduli, then of the known moduli;
     * an oracle row for each known congruence, each instance claim and each
-      combination below, all read from one expansion of f to oracle_max
-      modulo the lcm of their moduli (oracle_max <= 0 skips them);
+      combination below, all read from one expansion of f to ORACLE_MAX
+      modulo the lcm of their moduli;
     * the proof of each instance claim;
     * for each known congruence that contains an instance claim with a
-      coprime modulus, the combined congruence on that claim's progression.
-
-    Passing instances=... substitutes the shipped instance documents (see
-    documents.load_instance); every row after the first two follows them."""
-    from .documents import shipped_instances  # deferred: documents imports this module
-    from .tspp import check_slice_identity, check_support
-
-    docs = shipped_instances() if instances is None else instances
+      coprime modulus, the combined congruence on that claim's progression."""
+    docs = documents.shipped_instances()
     known = known_congruences()
     entries = [
-        _entry_from_check(check_support(10_000)),
-        _entry_from_check(check_slice_identity(5_000)),
+        _entry_from_check(tspp.check_support(10_000)),
+        _entry_from_check(tspp.check_slice_identity(5_000)),
     ]
 
     order = 2_000
@@ -286,14 +268,9 @@ def regression_suite(oracle_max: int = 50_000, instances=None) -> SuiteReport:
         if c.contains(doc.claim) and gcd(c.modulus, doc.claim.modulus) == 1
     ]
     oracle_claims = [*known, *(doc.claim for doc in docs), *(t for _, _, t in combinations)]
-    if oracle_max > 0:
-        ring = residues_mod(lcm(*(claim.modulus for claim in oracle_claims)))
-        counts = tspp_series(oracle_max, ring)
-        entries += [_entry_from_check(oracle_check(claim, counts)) for claim in oracle_claims]
-    else:
-        entries += [
-            SuiteEntry(f"oracle {claim.describe()}", "skip", "disabled") for claim in oracle_claims
-        ]
+    ring = residues_mod(lcm(*(claim.modulus for claim in oracle_claims)))
+    counts = tspp_series(ORACLE_MAX, ring)
+    entries += [_entry_from_check(oracle_check(claim, counts)) for claim in oracle_claims]
 
     proved: dict[CongruenceClaim, ProofReport] = {}
     for doc in docs:
@@ -312,7 +289,7 @@ def regression_suite(oracle_max: int = 50_000, instances=None) -> SuiteReport:
             entries.append(SuiteEntry(name, "skip", f"mod {claim.modulus} proof unavailable"))
             continue
         cited = AssumedCongruence(
-            c, "previously published congruence, assumed without reproof", oracle_max
+            c, "previously published congruence, assumed without reproof", ORACLE_MAX
         )
         combined = combine_congruences([proved[claim]], [cited])
         ok = combined.verdict == PROVED_MODULO_CITATIONS and combined.claim == target

@@ -83,6 +83,23 @@ class VerificationInstance:
 
 
 @dataclass(frozen=True)
+class InstanceHints:
+    """The verifier parameters that accompany a claim: the group level N and
+    the auxiliary exponent vector r'.  Everything else is derived from the
+    reduced claim."""
+
+    group_level: int
+    r_prime: EtaQuotientSpec
+
+    def __post_init__(self):
+        if self.r_prime.level != self.group_level:
+            raise ValueError(
+                f"auxiliary vector has level {self.r_prime.level}, "
+                f"expected the group level {self.group_level}"
+            )
+
+
+@dataclass(frozen=True)
 class ConditionCheck:
     name: str
     passed: bool

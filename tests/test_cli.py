@@ -1,5 +1,6 @@
 """Command-line interface: output formats and the exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,9 +13,17 @@ from tsppcong import cli
 from tsppcong.cli import main
 from tsppcong.documents import shipped_instance
 
-INSTANCE_PATH = str(
-    Path(tc.__file__).parent / "data" / "f_1250n_125_mod125.json"
-)
+DATA = Path(tc.__file__).parent / "data"
+INSTANCE_PATH = str(DATA / "f_1250n_125_mod125.json")
+
+# the certificate bytes `tsppcong prove` writes for the shipped instances, as
+# listed in perfbench/README.md
+CERTIFICATE_SHA256 = {
+    "f_1250n_125_mod125": "339568b79f219d794ee9510c53d75a8941cd5b13a7bc6c25ece7838ab060bff2",
+    "f_1250n_1125_mod125": "66a44581fbe9b46a6795854684db016593c77aafc7bf9c11082460109a878139",
+    "f_2750n_825_mod11": "06c50f20e4ba8e783358bb7cc725792fc906717731cf81dc073983d4b290252b",
+    "f_2750n_1925_mod11": "68a0c052e7c3eaf3a1f2bf41139f2519c05afdc00c8bf9f28a64a65ddf52c0f5",
+}
 
 
 def write_instance(tmp_path, payload, name="case.json"):
@@ -98,6 +107,15 @@ def test_prove_shipped_instance(tmp_path, capsys):
     assert payload["oracle_check"]["passed"] is True
 
 
+def test_prove_writes_pinned_certificates(tmp_path, capsys):
+    assert sorted(path.stem for path in DATA.glob("*.json")) == sorted(CERTIFICATE_SHA256)
+    for name, digest in CERTIFICATE_SHA256.items():
+        out = tmp_path / f"{name}.cert.json"
+        assert main(["prove", "--instance", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+    assert capsys.readouterr().out.count(": PROVED\n") == 4
+
+
 def test_prove_output_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["prove", "--instance", INSTANCE_PATH, "--out", str(a)]) == 0
@@ -137,10 +155,11 @@ def test_prove_rejects_overrides_of_a_false_claim(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_prove_missing_output_directory_exits_2_before_proving(tmp_path, capsys, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("proved before checking the output directory")
+def unreachable(*args):
+    raise AssertionError("proved before checking the output path")
 
+
+def test_prove_missing_output_directory_exits_2_before_proving(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "prove_tspp_congruence", unreachable)
     out = tmp_path / "missing" / "c.json"
     assert main(["prove", "--instance", INSTANCE_PATH, "--out", str(out)]) == 2
@@ -149,7 +168,15 @@ def test_prove_missing_output_directory_exits_2_before_proving(tmp_path, capsys,
     assert captured.out == ""
 
 
-def test_prove_write_error_exits_2(tmp_path, capsys):
+def test_prove_directory_output_exits_2_before_proving(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "prove_tspp_congruence", unreachable)
+    assert main(["prove", "--instance", INSTANCE_PATH, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: output path {tmp_path} is a directory" in captured.err
+    assert captured.out == ""
+
+
+def test_prove_write_error_exits_2(tmp_path, capsys, monkeypatch):
     # f(6n+4) is not reducible, so the proof ends at once; the write then fails
     path = write_instance(
         tmp_path,
@@ -158,10 +185,17 @@ def test_prove_write_error_exits_2(tmp_path, capsys):
             "hints": {"N": 10, "r_prime": {"1": 13}},
         },
     )
-    assert main(["prove", "--instance", path, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "c.json"
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["prove", "--instance", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert captured.err.startswith("error: ") and str(out) in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", [9, 16, 25, 50])
@@ -228,11 +262,15 @@ def test_prove_failed_verification_exits_3(tmp_path, capsys):
     assert payload["certificates"][0]["admissibility"]["passed"] is True
 
 
-def test_regress_with_skipped_oracle(capsys):
-    assert main(["regress", "--oracle-max", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "SKIP" in out
-    assert "overall" in out and "PASS" in out
+def test_regress_prints_every_row(capsys):
+    assert main(["regress"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 23
+    assert all(" PASS " in line for line in lines[:-1])
+    assert lines[-1].split() == ["overall", "PASS"]
+    with pytest.raises(SystemExit) as info:
+        main(["regress", "--oracle-max", "0"])
+    assert info.value.code == 2
 
 
 def test_module_entry_point_runs_in_subprocess():

@@ -18,8 +18,7 @@ from tsppcong.documents import (
 GOOD = """
 {
   "claim": {"sequence": "f", "A": 1250, "B": 125, "u": 125},
-  "hints": {"N": 10, "r_prime": {"1": 13, "2": 0, "5": 0, "10": 0}},
-  "oracle": {"max_index": 50000}
+  "hints": {"N": 10, "r_prime": {"1": 13, "2": 0, "5": 0, "10": 0}}
 }
 """
 
@@ -30,7 +29,7 @@ def test_parse_round_trip_is_identity():
     assert doc.claim == tc.CongruenceClaim("f", 1250, 125, 125)
     assert doc.hints.group_level == 10
     assert doc.hints.r_prime.as_dict() == {1: 13, 2: 0, 5: 0, 10: 0}
-    assert doc.oracle_max == 50000
+    assert json.loads(dump_instance(doc)) == json.loads(GOOD)
 
 
 def test_parse_fills_missing_divisors():
@@ -38,7 +37,6 @@ def test_parse_fills_missing_divisors():
                "hints": {"N": 10, "r_prime": {"1": 13}}}"""
     doc = parse_instance(text)
     assert doc.hints.r_prime.as_dict() == {1: 13, 2: 0, 5: 0, 10: 0}
-    assert doc.oracle_max == 0
     # serialization writes the full divisor map back out
     assert '"10": 0' in dump_instance(doc)
 
@@ -53,8 +51,12 @@ def test_parse_fills_missing_divisors():
         (lambda d: d["hints"].__setitem__("N", 0), "N must be positive"),
         (lambda d: d["hints"]["r_prime"].__setitem__("3", 1), "do not divide"),
         (lambda d: d["hints"]["r_prime"].__setitem__("x", 1), "not an integer"),
-        (lambda d: d["oracle"].__setitem__("max_index", -1), "nonnegative"),
         (lambda d: d.pop("hints"), "missing field"),
+        pytest.param(
+            lambda d: d.__setitem__("oracle", {"max_index": 50000}),
+            re.escape("unknown field(s) ['oracle']"),
+            id="oracle",
+        ),
         pytest.param(
             lambda d: d.__setitem__("overrides", {"t": 230}),
             re.escape("unknown field(s) ['overrides']"),

@@ -4,6 +4,7 @@ oracle cross-checks and the regression suite."""
 import pytest
 
 import tsppcong as tc
+from tsppcong import documents
 from tsppcong.prover import (
     FAILED,
     NOT_REDUCIBLE,
@@ -29,7 +30,6 @@ def test_shipped_instances_parse(shipped_docs):
         (2750, 825, 11),
         (2750, 1925, 11),
     ]
-    assert all(d.oracle_max == 50_000 for d in shipped_docs)
 
 
 def test_build_instance_matches_manual_construction(shipped_docs, instance1, instance2):
@@ -171,15 +171,6 @@ def test_combine_rejects_unproved_inputs(proof_825):
         tc.combine_congruences([])
 
 
-def test_regression_suite_smoke(shipped_docs):
-    suite = tc.regression_suite(oracle_max=3_000)
-    assert suite.passed
-    statuses = {e.name: e.status for e in suite.entries}
-    assert statuses["support"] == "pass"
-    assert statuses["slice-identity"] == "pass"
-    assert all(s == "pass" for s in statuses.values())
-
-
 SUITE_ROWS = [
     "support",
     "slice-identity",
@@ -206,43 +197,54 @@ SUITE_ROWS = [
 ]
 
 
-def test_regression_suite_skips_oracle_rows():
-    suite = tc.regression_suite(oracle_max=0)
+def test_regression_suite_smoke():
+    suite = tc.regression_suite()
     assert suite.passed
     assert [e.name for e in suite.entries] == SUITE_ROWS
-    statuses = [e.status for e in suite.entries if e.name.startswith("oracle")]
-    assert statuses and all(s == "skip" for s in statuses)
-    proof_rows = [e for e in suite.entries if e.name.startswith("proof")]
-    assert proof_rows and all(e.status == "pass" for e in proof_rows)
+    assert all(e.status == "pass" for e in suite.entries)
+    oracle_rows = [e for e in suite.entries if e.name.startswith("oracle")]
+    assert len(oracle_rows) == 9
+    assert all(e.detail == f"indices <= {tc.prover.ORACLE_MAX}" for e in oracle_rows)
 
 
-def test_regression_suite_derives_combinations(shipped_docs):
+def suite_of(monkeypatch, docs):
+    """The regression suite with docs in place of the shipped instances."""
+    monkeypatch.setattr(documents, "shipped_instances", lambda: tuple(docs))
+    return tc.regression_suite()
+
+
+def test_regression_suite_derives_combinations(shipped_docs, monkeypatch):
     # a combined row needs a known congruence containing an instance claim
     # with a coprime modulus: f(10n+5) = 0 (mod 5) and a mod-11 claim
     def rows(docs):
-        suite = tc.regression_suite(oracle_max=0, instances=docs)
-        return [e.name for e in suite.entries if e.status != "skip"], suite
+        suite = suite_of(monkeypatch, docs)
+        return [e.name for e in suite.entries], suite
 
-    # congruence rows: prime_power of the instance moduli, then of the known ones
+    # congruence rows: prime_power of the instance moduli, then of the known
+    # ones; oracle rows: the known congruences, then the instance claims
     known_rows = [
         "congruence g[1,5] = g (mod 5)",
         "congruence g[2,5] = g (mod 25)",
         "congruence g[2,2] = g (mod 4)",
+        "oracle f(10n+5) = 0 (mod 5)",
+        "oracle f(250n+125) = 0 (mod 25)",
+        "oracle f(8n+3) = 0 (mod 4)",
     ]
     names, suite = rows([shipped_docs[2]])
-    assert suite.passed
-    assert "oracle f(2750n+825) = 0 (mod 55)" in [e.name for e in suite.entries]
+    assert suite.passed and all(e.status == "pass" for e in suite.entries)
     assert names == [
         "support",
         "slice-identity",
         "congruence g[1,11] = g (mod 11)",
         *known_rows,
+        "oracle f(2750n+825) = 0 (mod 11)",
+        "oracle f(2750n+825) = 0 (mod 55)",
         "proof f(2750n+825) = 0 (mod 11)",
         "combined f(2750n+825) = 0 (mod 55)",
     ]
 
     broken = tc.InstanceDocument(
-        shipped_docs[2].claim, tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 6})), 0
+        shipped_docs[2].claim, tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 6}))
     )
     _, suite = rows([broken])
     assert [(e.name, e.status, e.detail) for e in suite.entries if e.name.startswith("combined")] == [
@@ -255,18 +257,19 @@ def test_regression_suite_derives_combinations(shipped_docs):
     assert names[2:] == [
         "congruence g[3,5] = g (mod 125)",
         *known_rows,
+        "oracle f(1250n+125) = 0 (mod 125)",
+        "oracle f(1250n+1125) = 0 (mod 125)",
         "proof f(1250n+125) = 0 (mod 125)",
         "proof f(1250n+1125) = 0 (mod 125)",
     ]
 
 
-def test_regression_suite_reports_injected_failure(shipped_docs):
+def test_regression_suite_reports_injected_failure(shipped_docs, monkeypatch):
     corrupted = tc.InstanceDocument(
         shipped_docs[0].claim,
         tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 13})),
-        0,
     )
-    suite = tc.regression_suite(oracle_max=0, instances=[corrupted])
+    suite = suite_of(monkeypatch, [corrupted])
     assert not suite.passed
     failing = [e for e in suite.entries if e.status == "fail"]
     assert len(failing) == 1
