@@ -22,6 +22,7 @@ from .tspp import (
     CongruenceClaim,
     NotReducibleError,
     ReductionStep,
+    SliceClaim,
     check_slice_identity,
     check_support,
     reduce_claim,

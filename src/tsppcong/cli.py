@@ -70,10 +70,20 @@ def _expand_series(args):
     return eta_quotient(load_eta_spec(args.spec), args.order, ring)
 
 
+def _check_output(out: Path) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise IsADirectoryError(f"output path {out} is a directory")
+
+
 def _cmd_expand(args) -> int:
     try:
+        if args.out:
+            _check_output(Path(args.out))
         series = _expand_series(args)
-    except ValueError as exc:  # a DocumentError is a ValueError
+    except (OSError, ValueError) as exc:  # a DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines = "".join(f"{n}\t{c}\n" for n, c in enumerate(series.coeffs))
@@ -92,14 +102,9 @@ def _cmd_prove(args) -> int:
     out = Path(args.out)
     try:
         doc = load_instance(args.instance)
+        _check_output(out)
     except (OSError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not out.parent.is_dir():
-        print(f"error: output directory {out.parent} does not exist", file=sys.stderr)
-        return 2
-    if out.is_dir():
-        print(f"error: output path {out} is a directory", file=sys.stderr)
         return 2
     try:
         report = prove_tspp_congruence(doc.claim, doc.hints)

@@ -86,13 +86,9 @@ def _parse_claim(obj, where: str) -> CongruenceClaim:
     claim = _require_mapping(obj, where)
     keys = {"sequence", "A", "B", "u"}
     _check_keys(claim, keys, keys, where)
-    if claim["sequence"] != "f":
-        raise DocumentError(
-            f"sequence must be 'f', the only one a proof reduces; got {claim['sequence']!r}", where
-        )
     try:
         return CongruenceClaim(
-            "f",
+            claim["sequence"],
             _get_int(claim, "A", where),
             _get_int(claim, "B", where),
             _get_int(claim, "u", where),
@@ -178,16 +174,12 @@ def fraction_text(value: Fraction) -> str:
 
 
 def claim_to_doc(claim: CongruenceClaim) -> dict:
-    doc = {
+    return {
         "sequence": claim.sequence,
         "A": claim.step,
         "B": claim.offset,
         "u": claim.modulus,
     }
-    if claim.alpha is not None:
-        doc["alpha"] = claim.alpha
-        doc["p"] = claim.p
-    return doc
 
 
 def _divisor_map_doc(spec: EtaQuotientSpec) -> dict:
@@ -259,13 +251,16 @@ def certificate_to_doc(cert: Certificate) -> dict:
 
 
 def _reduction_to_doc(step: ReductionStep) -> dict:
+    g, g_doc = step.g_claim, None
+    if g is not None:
+        g_doc = {"sequence": "gap", "A": g.step, "B": g.offset, "u": g.modulus, "alpha": g.alpha, "p": g.p}
     return {
         "class_mod_3": step.residue_class,
         "step": step.step,
         "offset": step.offset,
         "outcome": step.outcome,
         "reason": step.reason,
-        "g_claim": claim_to_doc(step.g_claim) if step.g_claim else None,
+        "g_claim": g_doc,
     }
 
 

@@ -75,10 +75,8 @@ def known_congruences() -> tuple[CongruenceClaim, ...]:
     )
 
 
-def build_instance(g_claim: CongruenceClaim, hints: InstanceHints) -> VerificationInstance:
+def build_instance(g_claim: tspp.SliceClaim, hints: InstanceHints) -> VerificationInstance:
     """Assemble the verifier input for a slice-variant claim."""
-    if g_claim.sequence != "gap":
-        raise ValueError(f"expected a slice-variant claim, got {g_claim.sequence!r}")
     spec = slice_variant_spec(g_claim.alpha, g_claim.p)
     return VerificationInstance(
         m=g_claim.step,
@@ -175,7 +173,7 @@ def combine_congruences(
 
 
 def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport:
-    """Test an "f" claim against an expansion of the counting series.
+    """Test a claim against an expansion of the counting series.
 
     counts is tspp_series over Z or over Z/M with u | M; each coefficient is
     reduced mod u, so one expansion serves every claim whose modulus divides
@@ -183,8 +181,6 @@ def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport
     primitives, which is what makes it a meaningful cross-check.
     """
     u = claim.modulus
-    if claim.sequence != "f":
-        raise ValueError(f"the oracle checks claims about f, got {claim.describe()}")
     if counts.ring.modulus is not None and counts.ring.modulus % u != 0:
         raise ValueError(f"counts over {counts.ring!r} do not determine residues mod {u}")
     name = f"oracle {claim.describe()}"

@@ -152,12 +152,6 @@ class EtaQuotientSpec:
         full = tuple((d, int(given.get(d, 0))) for d in divs)
         object.__setattr__(self, "exponents", full)
 
-    def exponent(self, d: int) -> int:
-        for div, e in self.exponents:
-            if div == d:
-                return e
-        raise KeyError(f"{d} does not divide the level {self.level}")
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.exponents)
 

@@ -3,8 +3,8 @@ reduction of congruence claims about them.
 
 The counting sequence lives on indices congruent to 0 or 1 mod 3 only (the
 count vanishes elsewhere), and on indices 6n+1 it agrees with a fixed eta
-quotient, here called the slice series.  reduce_claim turns a claim
-"f(An+B) = 0 (mod u)" into claims about the slice series on arithmetic
+quotient, here called the slice series.  reduce_claim turns a CongruenceClaim
+"f(An+B) = 0 (mod u)" into SliceClaims about the slice variant on arithmetic
 progressions, which is what the verifier in the verification module consumes.
 """
 
@@ -30,45 +30,48 @@ class NotReducibleError(ValueError):
 
 @dataclass(frozen=True)
 class CongruenceClaim:
-    """The assertion sequence(step*n + offset) = 0 (mod modulus) for all n >= 0.
+    """The assertion f(step*n + offset) = 0 (mod modulus) for all n >= 0.
 
-    sequence is "f" (the shell partition counts) or "gap" (the slice
-    variant, which also needs alpha and p).
+    sequence must be "f", the shell partition counts; reduce_claim rewrites
+    such a claim into SliceClaims about the slice variant.
     """
 
     sequence: str
     step: int
     offset: int
     modulus: int
-    alpha: int | None = None
-    p: int | None = None
 
     def __post_init__(self):
-        if self.sequence not in ("f", "gap"):
-            raise ValueError(f"unknown sequence {self.sequence!r}")
+        if self.sequence != "f":
+            raise ValueError(f"unknown sequence {self.sequence!r}: a claim's sequence must be 'f'")
         if self.step < 1:
             raise ValueError(f"step must be positive, got {self.step}")
         if not 0 <= self.offset < self.step:
             raise ValueError(f"offset {self.offset} outside [0, {self.step})")
         if self.modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        if self.sequence == "gap":
-            if self.alpha is None or self.p is None:
-                raise ValueError("the slice variant needs alpha and p")
-        elif self.alpha is not None or self.p is not None:
-            raise ValueError(f"alpha/p make no sense for sequence {self.sequence!r}")
 
     def describe(self) -> str:
-        name = "f" if self.sequence == "f" else f"g[{self.alpha},{self.p}]"
-        return f"{name}({self.step}n+{self.offset}) = 0 (mod {self.modulus})"
+        return f"f({self.step}n+{self.offset}) = 0 (mod {self.modulus})"
 
     def contains(self, other: CongruenceClaim) -> bool:
-        """Whether other's progression lies inside this claim's, on the same sequence."""
-        return (
-            (self.sequence, self.alpha, self.p) == (other.sequence, other.alpha, other.p)
-            and other.step % self.step == 0
-            and other.offset % self.step == self.offset
-        )
+        """Whether other's progression lies inside this claim's."""
+        return other.step % self.step == 0 and other.offset % self.step == self.offset
+
+
+@dataclass(frozen=True)
+class SliceClaim:
+    """The assertion g[alpha,p](step*n + offset) = 0 (mod p**alpha), as
+    reduce_claim emits it for the verifier."""
+
+    step: int
+    offset: int
+    alpha: int
+    p: int
+
+    @property
+    def modulus(self) -> int:
+        return self.p**self.alpha
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ class ReductionStep:
     """One residue class of the split n = 3k + residue_class.
 
     Either the induced indices fall in a vanishing class (outcome
-    "trivially-zero") or they match the slice identity and carry a claim
-    about the slice variant (outcome "verify").
+    "trivially-zero") or they match the slice identity and carry a
+    SliceClaim about the slice variant (outcome "verify").
     """
 
     residue_class: int
@@ -85,7 +88,7 @@ class ReductionStep:
     offset: int
     outcome: str
     reason: str
-    g_claim: CongruenceClaim | None = None
+    g_claim: SliceClaim | None = None
 
 
 @dataclass(frozen=True)
@@ -220,15 +223,13 @@ def check_slice_identity(order: int) -> CheckReport:
 
 
 def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
-    """Split an "f" claim along n mod 3 and rewrite it in slice-variant terms.
+    """Split a claim along n mod 3 and rewrite it in slice-variant terms.
 
     Classes whose indices land on the vanishing support are closed outright.
     A remaining class must have indices of the shape 6(mk+t)+1; it then
-    yields the claim "g[alpha,p](mk+t) = 0 (mod u)" with p**alpha = u.
+    yields the SliceClaim "g[alpha,p](mk+t) = 0 (mod u)" with p**alpha = u.
     Anything else cannot be handled and raises NotReducibleError.
     """
-    if claim.sequence != "f":
-        raise ValueError(f"can only reduce claims about the counting sequence, got {claim.sequence!r}")
     pp = prime_power(claim.modulus)
     if pp is None:
         raise NotReducibleError(f"modulus {claim.modulus} is not a prime power")
@@ -258,7 +259,7 @@ def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
             )
         m = big_step // 6
         t = (b - 1) // 6
-        g_claim = CongruenceClaim("gap", m, t, claim.modulus, alpha=alpha, p=p)
+        g_claim = SliceClaim(m, t, alpha, p)
         steps.append(
             ReductionStep(
                 r3,

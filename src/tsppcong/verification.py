@@ -382,8 +382,10 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     """Run the whole finite check and return a Certificate.
 
     Failures of the admissibility checklist, of the cusp bounds or of the
-    coefficient checks are certificate outcomes, not exceptions; only an
-    even progression step raises.  The expansion runs modulo u up to
+    coefficient checks are certificate outcomes, not exceptions.  Only an
+    unsupported shape raises UnsupportedInstanceError: an even progression
+    step (admissibility_check) or a group level whose cusps coset_reps does
+    not enumerate, such as 9, 16, 25 or 50.  The expansion runs modulo u up to
     m*floor(v) + max(orbit) and is shared across the orbit members.
     """
     report = admissibility_check(instance)

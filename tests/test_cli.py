@@ -32,6 +32,10 @@ def write_instance(tmp_path, payload, name="case.json"):
     return str(path)
 
 
+def unreachable(*args):
+    raise AssertionError("worked before checking the output path")
+
+
 def test_expand_counting_sequence(capsys):
     assert main(["expand", "--seq", "f", "--order", "7"]) == 0
     out = capsys.readouterr().out
@@ -65,12 +69,26 @@ def test_expand_writes_file(tmp_path):
     assert out.read_text(encoding="utf-8") == "0\t1\n1\t1\n2\t0\n3\t0\n4\t1\n"
 
 
-def test_expand_write_errors_exit_2(tmp_path, capsys):
-    for out in (tmp_path / "missing" / "coeffs.tsv", tmp_path):
-        assert main(["expand", "--seq", "f", "--order", "4", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and str(out) in captured.err
-        assert captured.out == ""
+def test_expand_write_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # a missing directory and a directory are refused before expanding
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_expand_series", unreachable)
+        for out, message in (
+            (tmp_path / "missing" / "coeffs.tsv", f"output directory {tmp_path / 'missing'} does not exist"),
+            (tmp_path, f"output path {tmp_path} is a directory"),
+        ):
+            assert main(["expand", "--seq", "f", "--order", "4", "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    out = tmp_path / "coeffs.tsv"
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["expand", "--seq", "f", "--order", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
 
 
 def test_expand_usage_errors(capsys, tmp_path):
@@ -153,10 +171,6 @@ def test_prove_rejects_overrides_of_a_false_claim(tmp_path, capsys):
     assert "unknown field(s) ['overrides']" in captured.err
     assert "PROVED" not in captured.out
     assert not out.exists()
-
-
-def unreachable(*args):
-    raise AssertionError("proved before checking the output path")
 
 
 def test_prove_missing_output_directory_exits_2_before_proving(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Counting series, slice series and claim reduction."""
 
+import dataclasses
+
 import pytest
 
 import oracles
@@ -97,12 +99,12 @@ def test_claim_validation():
         tc.CongruenceClaim("f", 10, 10, 5)
     with pytest.raises(ValueError):
         tc.CongruenceClaim("f", 10, 5, 1)
-    with pytest.raises(ValueError):
-        tc.CongruenceClaim("gap", 10, 5, 5)  # missing alpha, p
-    with pytest.raises(ValueError):
-        tc.CongruenceClaim("f", 10, 5, 5, alpha=1, p=5)
-    claim = tc.CongruenceClaim("gap", 625, 229, 125, alpha=3, p=5)
-    assert claim.describe() == "g[3,5](625n+229) = 0 (mod 125)"
+    with pytest.raises(ValueError, match="unknown sequence 'gap'"):
+        tc.CongruenceClaim("gap", 625, 229, 125)  # slice claims are SliceClaims
+    fields = [f.name for f in dataclasses.fields(tc.CongruenceClaim)]
+    assert fields == ["sequence", "step", "offset", "modulus"]
+    assert tc.CongruenceClaim("f", 1250, 125, 125).describe() == "f(1250n+125) = 0 (mod 125)"
+    assert tc.SliceClaim(625, 229, 3, 5).modulus == 125
 
 
 def test_claim_containment():
@@ -111,10 +113,8 @@ def test_claim_containment():
     assert cited.contains(tc.CongruenceClaim("f", 10, 5, 7))  # the modulus plays no part
     assert not cited.contains(tc.CongruenceClaim("f", 2750, 826, 11))  # other residue
     assert not cited.contains(tc.CongruenceClaim("f", 25, 5, 11))  # step not a multiple
-    assert not cited.contains(tc.CongruenceClaim("gap", 2750, 825, 11, alpha=1, p=11))  # other sequence
-    gap = tc.CongruenceClaim("gap", 5, 4, 125, alpha=3, p=5)
-    assert gap.contains(tc.CongruenceClaim("gap", 625, 229, 125, alpha=3, p=5))
-    assert not gap.contains(tc.CongruenceClaim("gap", 625, 229, 11, alpha=1, p=11))
+    with pytest.raises(ValueError):
+        tc.CongruenceClaim("gap", 2750, 825, 11)  # no claim about another sequence exists
 
 
 @pytest.mark.parametrize(
@@ -184,4 +184,4 @@ def test_reduce_claim_rejects_step_not_divisible_by_6():
 
 def test_reduce_claim_only_accepts_counting_sequence():
     with pytest.raises(ValueError):
-        tc.reduce_claim(tc.CongruenceClaim("gap", 10, 5, 5, alpha=1, p=5))
+        tc.CongruenceClaim("gap", 10, 5, 5)  # so reduce_claim only ever sees f claims

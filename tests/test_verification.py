@@ -326,6 +326,28 @@ def test_verify_tiny_partition_instance(tiny_instance):
     assert_no_floats(cert)
 
 
+def test_verify_negative_bound_reads_no_coefficient():
+    # the eta quotient with r = {} is the series 1, so c(5n+1) and c(5n+4)
+    # vanish; the bound -1/5 has floor -1 and the claim holds with no expansion
+    empty = tc.VerificationInstance(
+        m=5, M=1, N=5, t=1,
+        r=tc.EtaQuotientSpec(1, {}),
+        r_prime=tc.EtaQuotientSpec(5, {}), u=5,
+    )
+    lookups = tc.verification._expansion.cache_info()
+    cert = tc.verify_instance(empty)
+    assert cert.verdict == "VERIFIED" and cert.failure is None
+    assert cert.orbit == (1, 4)
+    assert cert.bound == Fraction(-1, 5) and cert.bound_floor == -1
+    assert cert.expansion_order is None
+    assert cert.checked == (
+        tc.verification.ProgressionCheck(1, (), True, None),
+        tc.verification.ProgressionCheck(4, (), True, None),
+    )
+    assert tc.verification._expansion.cache_info() == lookups  # no expansion asked for
+    assert '"expansion_order": null' in canonical_json(certificate_to_doc(cert))
+
+
 def test_verify_reports_negative_cusp_bound(tiny_instance):
     # drop the auxiliary compensation: the c=1 cusp bound turns negative
     bare = tc.VerificationInstance(
