@@ -9,11 +9,18 @@ substitution: each operand becomes one Python int of fixed-width limbs, so
 a product costs one big-integer multiplication.  Over Z the product is
 taken modulo a bound larger than twice any coefficient and lifted to the
 centred range.  Inversion is Newton iteration on top of it and powers are
-binary powering.  Eta quotients apply positive exponents by sparse passes
-of shifted additions over the pentagonal support of the Euler product;
-each negative exponent costs one Newton inverse at order // d, multiplied
-into the d residue classes of the exponent separately.  Everything is
-exact: int64 or object numpy arrays and Python ints, no floating point.
+binary powering.
+
+Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
+weighted shifted additions: r // 3 passes over the Jacobi support of
+(q^d; q^d)**3 and r % 3 over the pentagonal support of (q^d; q^d).  One
+pass function serves both rings; over Z/u it runs in int32 or int64 when
+u times the summed weights fits, else in object arrays.  Each negative
+exponent costs one Newton inverse at order // d, multiplied into the d
+residue classes of the exponent separately.  eta_quotient can return one
+progression c(step*n + offset) of the expansion; the last inverse multiply
+then skips the classes the progression never reads.  Everything is exact:
+int32, int64 or object numpy arrays and Python ints, no floating point.
 """
 
 from __future__ import annotations
@@ -328,51 +335,109 @@ def extract_progression(a: TruncatedSeries, m: int, t: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def eta_quotient(spec: EtaQuotientSpec, order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
-    """Expand prod_{d | level} (q^d; q^d)_inf ** r_d through q**order.
+def eta_quotient(
+    spec: EtaQuotientSpec,
+    order: int,
+    ring: CoefficientRing = INTEGERS,
+    step: int = 1,
+    offset: int = 0,
+) -> TruncatedSeries:
+    """Expand prod_{d | level} (q^d; q^d)_inf ** r_d through q**order, and
+    return the series whose n-th coefficient is c(step*n + offset).
 
-    Positive exponents are applied by sparse passes, one per unit of
-    exponent, each costing order times the pentagonal support (about
-    sqrt(order/d)).  For a negative exponent r, (q; q)**|r| is built by
-    passes at order // d and inverted once by Newton iteration.  The
-    dilated inverse touches only exponents divisible by d, so each residue
-    class of the exponent mod d is multiplied by the undilated inverse on
-    its own.
+    The defaults step=1, offset=0 give the whole expansion.  A positive
+    exponent r on (q^d; q^d) costs r // 3 weighted passes over the Jacobi
+    support of (q^d; q^d)**3 plus r % 3 passes over the pentagonal support,
+    each costing order times about sqrt(order/d).  For a negative exponent,
+    (q; q)**|r| is built by the same passes at order // d and inverted once by
+    Newton iteration.  The dilated inverse touches only exponents divisible
+    by d, so each residue class of the exponent mod d is multiplied by the
+    undilated inverse on its own.  The last negative factor multiplies only
+    the classes rho with rho = offset (mod gcd(step, d)): the others never
+    reach the progression.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    if step < 1:
+        raise ValueError(f"progression step must be positive, got {step}")
+    if not 0 <= offset < step:
+        raise ValueError(f"offset {offset} outside [0, {step})")
+    if offset > order:
+        raise ValueError(f"offset {offset} is beyond the truncation order {order}")
     u = ring.modulus
     out = [ring.normalize(1)] + [0] * order
     for d, r in spec.nonzero():
         if r > 0:
-            out = _euler_passes(out, d, r, u)
-    for d, r in spec.nonzero():
-        if r < 0:
-            inv = _inverse(_euler_passes([1] + [0] * (order // d), 1, -r, u), 1, u)
-            for rho in range(min(d, order + 1)):
-                cls = out[rho::d]
-                out[rho::d] = _mul(cls, inv, len(cls) - 1, u)
-    return TruncatedSeries(ring, tuple(out))
+            out = _euler_power(out, d, r, u)
+    negative = [(d, -r) for d, r in spec.nonzero() if r < 0]
+    for d, r in negative:
+        inv = _inverse(_euler_power([1] + [0] * (order // d), 1, r, u), 1, u)
+        classes = gcd(step, d) if d == negative[-1][0] else 1
+        for rho in range(offset % classes, min(d, order + 1), classes):
+            cls = out[rho::d]
+            out[rho::d] = _mul(cls, inv, len(cls) - 1, u)
+    return TruncatedSeries(ring, tuple(out[offset::step]))
 
 
-def _euler_passes(coeffs: list[int], d: int, r: int, modulus: int | None) -> list[int]:
-    """coeffs * (q^d; q^d)**r for r >= 0, by r passes of shifted additions.
+def jacobi_terms(delta: int, order: int) -> list[tuple[int, int]]:
+    """Sparse support of prod_{n>=1}(1 - q^(delta*n))**3 truncated at order.
 
-    Residues below the modulus stay in int64 when a pass, which adds up to
-    one shifted copy per pentagonal term, cannot overflow; exact integers
-    and huge moduli use an object array.
+    Returns (exponent, weight) pairs in ascending exponent order; by Jacobi's
+    identity the exponents are delta times the triangular numbers k(k+1)/2
+    and the weights are (-1)**k * (2k+1).
     """
+    terms = []
+    k = 0
+    while delta * k * (k + 1) // 2 <= order:
+        terms.append((delta * k * (k + 1) // 2, -(2 * k + 1) if k & 1 else 2 * k + 1))
+        k += 1
+    return terms
+
+
+def _euler_power(coeffs: list[int], d: int, r: int, modulus: int | None) -> list[int]:
+    """coeffs * (q^d; q^d)**r for r >= 0: r // 3 Jacobi passes, r % 3 Euler passes."""
+    n = len(coeffs) - 1
+    coeffs = _sparse_passes(coeffs, jacobi_terms(d, n), r // 3, modulus)
+    return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus)
+
+
+def _sparse_passes(
+    coeffs: list[int], terms: list[tuple[int, int]], r: int, modulus: int | None
+) -> list[int]:
+    """coeffs * (sum of w * q^e over terms)**r, for (exponent, weight) terms
+    that start with (0, 1), by r passes of weighted shifted additions.
+
+    Over Z/u the weights are reduced to centred residues and zero ones are
+    dropped; weights of +-1 are a plain add or subtract.  A pass sums
+    residues below u times the weights, so its values stay below u * sum|w|:
+    the array is int32 when that is below 2**31, int64 when below 2**63 and
+    object otherwise.  Exact integers always use an object array.
+    """
+    if r == 0:
+        return coeffs
     n = len(coeffs)
-    terms = pentagonal_terms(d, n - 1)[1:]
-    small = modulus is not None and (len(terms) + 1) * modulus < 2**63
-    acc = np.array(coeffs, dtype=np.int64 if small else object)
+    dtype = object
+    if modulus is not None:
+        reduced = ((e, w % modulus) for e, w in terms)
+        terms = [(e, w - modulus if w > modulus // 2 else w) for e, w in reduced if w]
+        bound = modulus * sum(abs(w) for _, w in terms)
+        if bound < 2**63:
+            dtype = np.int32 if bound < 2**31 else np.int64
+    acc = np.array(coeffs, dtype=dtype)
     work = np.empty_like(acc)
+    scratch = np.empty_like(acc)
     # every pass reads acc and writes work, so the shifted views are built once
-    shifts = [(np.add if sign > 0 else np.subtract, work[e:], acc[: n - e]) for e, sign in terms]
+    shifts = [(w, work[e:], acc[: n - e], scratch[: n - e]) for e, w in terms[1:]]
     for _ in range(r):
         np.copyto(work, acc)
-        for op, dst, src in shifts:
-            op(dst, src, out=dst)
+        for w, dst, src, tmp in shifts:
+            if w == 1:
+                np.add(dst, src, out=dst)
+            elif w == -1:
+                np.subtract(dst, src, out=dst)
+            else:
+                np.multiply(src, w, out=tmp)
+                np.add(dst, tmp, out=dst)
         if modulus is None:
             np.copyto(acc, work)
         else:

@@ -369,8 +369,8 @@ def verification_bound(instance: VerificationInstance) -> VerificationBound:
 
 
 @lru_cache(maxsize=6)
-def _expansion(spec: EtaQuotientSpec, order: int, u: int):
-    return eta_quotient(spec, order, residues_mod(u))
+def _expansion(spec: EtaQuotientSpec, order: int, u: int, step: int, offset: int):
+    return eta_quotient(spec, order, residues_mod(u), step, offset)
 
 
 def clear_expansion_cache():
@@ -385,8 +385,14 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     coefficient checks are certificate outcomes, not exceptions.  Only an
     unsupported shape raises UnsupportedInstanceError: an even progression
     step (admissibility_check) or a group level whose cusps coset_reps does
-    not enumerate, such as 9, 16, 25 or 50.  The expansion runs modulo u up to
-    m*floor(v) + max(orbit) and is shared across the orbit members.
+    not enumerate, such as 9, 16, 25 or 50.
+
+    The check reads c(m*n + t') for every orbit member t' and n <= floor(v),
+    and all of these indices lie in one progression: step*n + offset with
+    step = gcd(m, t' - t_min over the orbit) and offset = t_min mod step.
+    So the expansion runs modulo u through m*floor(v) + max(orbit) but
+    returns only that progression, which the two claims of one orbit share
+    through the memo.
     """
     report = admissibility_check(instance)
     kap = kappa(instance.m)
@@ -416,24 +422,22 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     if failure is None:
         if bound.v_floor >= 0:
             expansion_order = instance.m * bound.v_floor + max(members)
-            series = _expansion(instance.r, expansion_order, instance.u)
+            step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
+            offset = members[0] % step
+            series = _expansion(instance.r, expansion_order, instance.u, step, offset)
             results = []
             for t_prime in members:
                 indices = tuple(
                     instance.m * n + t_prime for n in range(bound.v_floor + 1)
                 )
-                violation = None
-                for i in indices:
-                    if series[i] != 0:
-                        violation = i
-                        break
+                violation = next((i for i in indices if series[(i - offset) // step]), None)
                 results.append(
                     ProgressionCheck(t_prime, indices, violation is None, violation)
                 )
                 if violation is not None and failure is None:
                     failure = (
                         f"coefficient at index {violation} is "
-                        f"{series[violation]} (mod {instance.u}), expected 0"
+                        f"{series[(violation - offset) // step]} (mod {instance.u}), expected 0"
                     )
             checked = tuple(results)
         else:

@@ -26,6 +26,16 @@ CERTIFICATE_SHA256 = {
 }
 
 
+# the bytes `tsppcong expand` writes for the whole expansion, every residue
+# class: the slice variant mod 125 and the slice series over the integers
+EXPAND_SHA256 = {
+    ("--seq", "gap", "--alpha", "3", "--p", "5", "--order", "3000", "--mod", "125"):
+        "17b228b185eca4a00b418a4320d230f4b173746dfb53318532211a9e30ca3368",
+    ("--seq", "g", "--order", "300"):
+        "f23b1007e88baee14ea65de22f81bc8810e00122f4688520c3e8ca6cbd2da500",
+}
+
+
 def write_instance(tmp_path, payload, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -61,6 +71,12 @@ def test_expand_eta_spec_file(tmp_path, capsys):
     spec.write_text('{"M": 2, "r": {"1": -2, "2": 3}}', encoding="utf-8")
     assert main(["expand", "--seq", "eta", "--spec", str(spec), "--order", "5"]) == 0
     assert capsys.readouterr().out == "0\t1\n1\t2\n2\t2\n3\t4\n4\t5\n5\t6\n"
+
+
+def test_expand_writes_pinned_output(capsys):
+    for args, digest in EXPAND_SHA256.items():
+        assert main(["expand", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest, args
 
 
 def test_expand_writes_file(tmp_path):

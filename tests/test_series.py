@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tsppcong as tc
-from tsppcong.series import pentagonal_terms
+from tsppcong.series import jacobi_terms, pentagonal_terms
 
 MODULI = [4, 5, 11, 25, 121, 125]
 # fits int64, but one pass over it could overflow: forces the object arrays
@@ -313,6 +313,64 @@ def test_eta_quotient_times_denominator_is_numerator(spec, order, u):
         lhs = [c % u for c in lhs]
         rhs = [c % u for c in rhs]
     assert lhs == rhs
+
+
+progressions = st.integers(1, 12).flatmap(lambda step: st.tuples(st.just(step), st.integers(0, step - 1)))
+
+
+@given(
+    spec=eta_specs(),
+    order=st.integers(0, 80),
+    progression=progressions,
+    u=st.sampled_from([None] + MODULI + [HUGE_MODULUS]),
+)
+@settings(deadline=None)
+def test_eta_quotient_progression_is_a_slice_of_the_full_expansion(spec, order, progression, u):
+    step, offset = progression
+    ring = tc.INTEGERS if u is None else tc.residues_mod(u)
+    if offset > order:
+        with pytest.raises(ValueError):
+            tc.eta_quotient(spec, order, ring, step, offset)
+        return
+    full = tc.eta_quotient(spec, order, ring).coeffs
+    assert tc.eta_quotient(spec, order, ring, step, offset).coeffs == full[offset::step]
+
+
+def test_eta_quotient_rejects_bad_progressions():
+    spec = tc.EtaQuotientSpec(2, {1: -2, 2: 3})
+    for step, offset in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            tc.eta_quotient(spec, 10, tc.INTEGERS, step, offset)
+
+
+def test_sparse_pass_dtype_bound():
+    # (q;q)^6 is two Jacobi passes, the second over residues of (q;q)^3 close
+    # to u.  A pass keeps its values below u * sum|w|: int32 below 2**31,
+    # int64 below 2**63, object above.  The last modulus is one the Euler
+    # pass bound (number of terms) * u < 2**63 would have kept in int64.
+    spec = tc.EtaQuotientSpec(1, {1: 6})
+    order = 200
+    weight = sum(abs(w) for _, w in jacobi_terms(1, order))
+    exact_coeffs = tc.eta_quotient(spec, order).coeffs
+    moduli = []
+    for limit in (2**31, 2**63):
+        below = (limit - 1) // weight
+        moduli += [below, below + 1]
+    euler_int64 = (2**63 - 1) // len(pentagonal_terms(1, order))
+    assert euler_int64 * weight >= 2**63
+    moduli.append(euler_int64)
+    for u in moduli:
+        got = tc.eta_quotient(spec, order, tc.residues_mod(u)).coeffs
+        assert got == tuple(c % u for c in exact_coeffs), u
+
+
+def test_jacobi_terms_are_the_cube_of_the_euler_product():
+    for delta, order in ((1, 60), (2, 61), (5, 100)):
+        cube = [0] * (order + 1)
+        for e, w in jacobi_terms(delta, order):
+            cube[e] = w
+        assert tuple(cube) == euler_power(delta, 3, order)
+    assert jacobi_terms(1, 6) == [(0, 1), (1, -3), (3, 5), (6, -7)]
 
 
 def test_eta_quotient_against_brute_force_product():

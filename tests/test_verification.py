@@ -326,6 +326,33 @@ def test_verify_tiny_partition_instance(tiny_instance):
     assert_no_floats(cert)
 
 
+def test_verifier_expands_only_the_progression_it_reads(monkeypatch):
+    # the orbits (229, 604) mod 625 and (779, 1054) mod 1375 lie in 125n + 104
+    # and 275n + 229, so the orders 53 104 and 210 054 need 425 and 764
+    # coefficients, not 53 105 and 210 055; each pair of claims shares one
+    lengths = []
+    expand = tc.verification.eta_quotient
+
+    def recording(*args):
+        series = expand(*args)
+        lengths.append(len(series.coeffs))
+        return series
+
+    monkeypatch.setattr(tc.verification, "eta_quotient", recording)
+    clear_expansion_cache()
+    for name in ("f_1250n_125_mod125", "f_1250n_1125_mod125"):
+        doc = tc.shipped_instance(name)
+        assert tc.prove_tspp_congruence(doc.claim, doc.hints).verdict == "PROVED"
+    info = tc.verification._expansion.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for name in ("f_2750n_825_mod11", "f_2750n_1925_mod11"):
+        doc = tc.shipped_instance(name)
+        assert tc.prove_tspp_congruence(doc.claim, doc.hints).verdict == "PROVED"
+    info = tc.verification._expansion.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert lengths == [425, 764]
+
+
 def test_verify_negative_bound_reads_no_coefficient():
     # the eta quotient with r = {} is the series 1, so c(5n+1) and c(5n+4)
     # vanish; the bound -1/5 has floor -1 and the claim holds with no expansion
