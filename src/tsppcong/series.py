@@ -401,6 +401,13 @@ def _euler_power(coeffs: list[int], d: int, r: int, modulus: int | None) -> list
     return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus)
 
 
+def array_dtype(bound: int | None):
+    """The narrowest dtype for values of absolute value below bound; None is Z."""
+    if bound is None or bound >= 2**63:
+        return object
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _sparse_passes(
     coeffs: list[int], terms: list[tuple[int, int]], r: int, modulus: int | None
 ) -> list[int]:
@@ -409,21 +416,18 @@ def _sparse_passes(
 
     Over Z/u the weights are reduced to centred residues and zero ones are
     dropped; weights of +-1 are a plain add or subtract.  A pass sums
-    residues below u times the weights, so its values stay below u * sum|w|:
-    the array is int32 when that is below 2**31, int64 when below 2**63 and
-    object otherwise.  Exact integers always use an object array.
+    residues below u times the weights, so its values stay below u * sum|w|,
+    the bound that picks the array's dtype.
     """
     if r == 0:
         return coeffs
     n = len(coeffs)
-    dtype = object
+    bound = None
     if modulus is not None:
         reduced = ((e, w % modulus) for e, w in terms)
         terms = [(e, w - modulus if w > modulus // 2 else w) for e, w in reduced if w]
         bound = modulus * sum(abs(w) for _, w in terms)
-        if bound < 2**63:
-            dtype = np.int32 if bound < 2**31 else np.int64
-    acc = np.array(coeffs, dtype=dtype)
+    acc = np.array(coeffs, dtype=array_dtype(bound))
     work = np.empty_like(acc)
     scratch = np.empty_like(acc)
     # every pass reads acc and writes work, so the shifted views are built once

@@ -1,11 +1,12 @@
 """Counting series for 1-shell totally symmetric plane partitions and the
 reduction of congruence claims about them.
 
-The counting sequence lives on indices congruent to 0 or 1 mod 3 only (the
-count vanishes elsewhere), and on indices 6n+1 it agrees with a fixed eta
-quotient, here called the slice series.  reduce_claim turns a CongruenceClaim
-"f(An+B) = 0 (mod u)" into SliceClaims about the slice variant on arithmetic
-progressions, which is what the verifier in the verification module consumes.
+Past f(0) = 1 the counting sequence lives on indices congruent to 1 mod 3
+only (it vanishes on indices congruent to 0 or 2 mod 3), and on indices 6n+1
+it agrees with a fixed eta quotient, here called the slice series.
+reduce_claim turns a CongruenceClaim "f(An+B) = 0 (mod u)" into SliceClaims
+about the slice variant on arithmetic progressions, which is what the
+verifier in the verification module consumes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .series import (
     CoefficientRing,
     EtaQuotientSpec,
     TruncatedSeries,
+    array_dtype,
     eta_quotient,
 )
 
@@ -110,36 +112,26 @@ class CheckReport:
 def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
     """Counting series of 1-shell totally symmetric plane partitions by weight.
 
-    Expands 1 + sum_{n>=1} q^(3n-2) * prod_{i=0}^{n-2} (1 + q^(6i+3))
-    incrementally: the running product is kept on the grid of multiples of 3
-    and every new factor is one shifted addition.
+    Expands 1 + sum_{n>=1} q^(3n-2) * prod_{i=0}^{n-2} (1 + q^(6i+3)).  One
+    array holds the coefficients of q^(3j+1), which in x = q^3 form
+    U_0 = sum_n x^n prod_{i<n} (1 + x^(2i+1)), by Horner's rule
+    U_k = x^k + (1 + x^(2k+1)) U_(k+1) from U_lc = 0.  Over Z/u each step
+    reduces what it wrote, so values stay below 2u, which picks the dtype.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    modulus = ring.modulus
-    out = [0] * (order + 1)
-    out[0] = 1
-    if order < 1:
-        return TruncatedSeries(ring, tuple(out))
-    # slot j of the compressed arrays is the coefficient of q^(3j+1)
-    lc = (order - 1) // 3 + 1
-    # values at most double per factor; reducing every 16 steps keeps
-    # residues below 2**20 far from the int64 limit
-    small = modulus is not None and modulus <= 2**20
-    acc = np.zeros(lc, dtype=np.int64 if small else object)
-    prod = np.zeros_like(acc)
-    prod[0] = 1
-    for n in range(1, lc + 1):
-        if n >= 2:
-            e = 2 * n - 3
-            if e < lc:
-                prod[e:] = prod[e:] + prod[: lc - e]
-        acc[n - 1 :] += prod[: lc - n + 1]
-        if modulus is not None and n % 16 == 0:
-            np.remainder(prod, modulus, out=prod)
-            np.remainder(acc, modulus, out=acc)
-    if modulus is not None:
-        np.remainder(acc, modulus, out=acc)
+    u = ring.modulus
+    lc = (order + 2) // 3
+    acc = np.zeros(lc, dtype=array_dtype(None if u is None else 2 * u))
+    for k in range(lc - 1, -1, -1):
+        tail = acc[3 * k + 2 :]
+        # U_(k+1) starts at x^(k+1), so x^(2k+1) U_(k+1) starts at x^(3k+2);
+        # the operands overlap and numpy reads the source before writing
+        tail += acc[k + 1 : k + 1 + len(tail)]
+        if u is not None:
+            np.remainder(tail, u, out=tail)
+        acc[k] += 1
+    out = [1] + [0] * order
     out[1::3] = acc.tolist()
     return TruncatedSeries(ring, tuple(out))
 

@@ -27,12 +27,17 @@ CERTIFICATE_SHA256 = {
 
 
 # the bytes `tsppcong expand` writes for the whole expansion, every residue
-# class: the slice variant mod 125 and the slice series over the integers
+# class: the slice variant mod 125, the slice series over the integers, and
+# the counting series over the integers and mod the oracle modulus 5500
 EXPAND_SHA256 = {
     ("--seq", "gap", "--alpha", "3", "--p", "5", "--order", "3000", "--mod", "125"):
         "17b228b185eca4a00b418a4320d230f4b173746dfb53318532211a9e30ca3368",
     ("--seq", "g", "--order", "300"):
         "f23b1007e88baee14ea65de22f81bc8810e00122f4688520c3e8ca6cbd2da500",
+    ("--seq", "f", "--order", "5000"):
+        "8f749a39c135f60b65b0e9fe2005c0f053d8a8283b5d8113971442410d5d654b",
+    ("--seq", "f", "--order", "50000", "--mod", "5500"):
+        "70f63d4a2ad23b18cac3b6ee69b0b6ce4dbb01584636ced2158fdc3f76bcffc3",
 }
 
 

@@ -14,16 +14,24 @@ def test_counting_series_first_values():
 
 
 def test_counting_series_matches_uncompressed_expansion():
-    order = 150
-    assert list(tc.tspp_series(order).coeffs) == oracles.tspp_brute(order)
+    # orders 0..6 fill at most two slots and take no shifted addition, 7..12
+    # take the first, shortest ones
+    for order in (*range(13), 150):
+        brute = oracles.tspp_brute(order)
+        assert list(tc.tspp_series(order).coeffs) == brute, order
+        mod2 = tc.tspp_series(order, tc.residues_mod(2)).coeffs
+        assert list(mod2) == [c % 2 for c in brute], order
 
 
 def test_counting_series_mod_kernel_matches_exact():
-    order = 400
+    # counts pass 2**31 at n = 1189 and 2**63 at n = 4264, so every modulus
+    # wraps; the kernel's values stay below 2u, so 2**30 - 1 is the last
+    # int32 modulus, 2**30 the first int64 one and 2**62 the first object one
+    order = 5000
     exact = tc.tspp_series(order)
-    # 2**20 and 2**20 + 1 sit on either side of the int64/object switch
-    for u in (4, 5, 25, 125, 11, 2**20, 2**20 + 1, 2**61 - 1):
-        assert tc.tspp_series(order, tc.residues_mod(u)) == exact.reduced(u)
+    moduli = (4, 5, 25, 125, 11, 2**20, 2**20 + 1, 2**30 - 1, 2**30, 2**31 - 1)
+    for u in (*moduli, 2**61 - 1, 2**62 - 1, 2**62, 2**63 - 25):
+        assert tc.tspp_series(order, tc.residues_mod(u)) == exact.reduced(u), u
 
 
 def test_slice_series_first_values():
