@@ -11,13 +11,7 @@ import sys
 from pathlib import Path
 
 from . import tspp
-from .documents import (
-    DocumentError,
-    canonical_json,
-    load_eta_spec,
-    load_instance,
-    report_to_doc,
-)
+from .documents import canonical_json, load_eta_spec, load_instance, report_to_doc
 from .prover import ORACLE_MAX, PROVED, oracle_check, prove_tspp_congruence, regression_suite
 from .series import INTEGERS, eta_quotient, residues_mod
 
@@ -63,10 +57,10 @@ def _expand_series(args):
         return tspp.slice_series(args.order, ring)
     if args.seq == "gap":
         if args.alpha is None or args.p is None:
-            raise DocumentError("--seq gap needs --alpha and --p")
+            raise ValueError("--seq gap needs --alpha and --p")
         return tspp.slice_variant_series(args.alpha, args.p, args.order, ring)
     if args.spec is None:
-        raise DocumentError("--seq eta needs --spec")
+        raise ValueError("--seq eta needs --spec")
     return eta_quotient(load_eta_spec(args.spec), args.order, ring)
 
 
@@ -79,44 +73,24 @@ def _check_output(out: Path) -> None:
 
 
 def _cmd_expand(args) -> int:
-    try:
-        if args.out:
-            _check_output(Path(args.out))
-        series = _expand_series(args)
-    except (OSError, ValueError) as exc:  # a DocumentError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.out:
+        _check_output(Path(args.out))
+    series = _expand_series(args)
     lines = "".join(f"{n}\t{c}\n" for n, c in enumerate(series.coeffs))
-    try:
-        if args.out:
-            Path(args.out).write_text(lines, encoding="utf-8")
-        else:
-            sys.stdout.write(lines)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.out:
+        Path(args.out).write_text(lines, encoding="utf-8")
+    else:
+        sys.stdout.write(lines)
     return 0
 
 
 def _cmd_prove(args) -> int:
     out = Path(args.out)
-    try:
-        doc = load_instance(args.instance)
-        _check_output(out)
-    except (OSError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = prove_tspp_congruence(doc.claim, doc.hints)
-    except ValueError as exc:
-        print(f"error: invalid instance: {exc}", file=sys.stderr)
-        return 2
+    doc = load_instance(args.instance)
+    _check_output(out)
+    report = prove_tspp_congruence(doc.claim, doc.hints)
     oracle = oracle_check(doc.claim, tspp.tspp_series(ORACLE_MAX, residues_mod(doc.claim.modulus)))
-    try:
-        out.write_text(canonical_json(report_to_doc(report, oracle)), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out.write_text(canonical_json(report_to_doc(report, oracle)), encoding="utf-8")
     print(f"{doc.claim.describe()}: {report.verdict}")
     if report.verdict != PROVED:
         if report.detail:
@@ -141,13 +115,19 @@ def _cmd_regress() -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A file that cannot be read, parsed or written, and an
+    input the package refuses, end here as one error line and exit 2."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "expand":
-        return _cmd_expand(args)
-    if args.command == "prove":
-        return _cmd_prove(args)
-    return _cmd_regress()
+    try:
+        if args.command == "expand":
+            return _cmd_expand(args)
+        if args.command == "prove":
+            return _cmd_prove(args)
+        return _cmd_regress()
+    except (OSError, ValueError) as exc:  # a DocumentError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

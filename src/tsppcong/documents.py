@@ -43,6 +43,24 @@ class InstanceDocument:
 # ---------------------------------------------------------------------------
 
 
+def _read_json(text: str, where: str):
+    """Parse JSON text, refusing a repeated key: json.loads alone keeps the
+    last value, so a second "u" would silently override the first."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DocumentError(f"duplicate key {key!r}", where)
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not valid JSON: {exc}", where)
+
+
 def _require_mapping(obj, where):
     if not isinstance(obj, dict):
         raise DocumentError("expected an object", where)
@@ -69,13 +87,10 @@ def _parse_divisor_map(obj, level: int, where: str) -> EtaQuotientSpec:
     mapping = _require_mapping(obj, where)
     parsed: dict[int, int] = {}
     for key, value in mapping.items():
-        try:
-            d = int(key)
-        except (TypeError, ValueError):
+        # int() alone would also read "01", " 1" and "1_0"
+        if not (key.removeprefix("-").isdecimal() and key == str(int(key))):
             raise DocumentError(f"divisor key {key!r} is not an integer", where)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DocumentError(f"exponent for divisor {key} must be an integer", where)
-        parsed[d] = value
+        parsed[int(key)] = value
     try:
         return EtaQuotientSpec(level, parsed)
     except ValueError as exc:
@@ -98,11 +113,7 @@ def _parse_claim(obj, where: str) -> CongruenceClaim:
 
 
 def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}", source)
-    top = _require_mapping(doc, source)
+    top = _require_mapping(_read_json(text, source), source)
     _check_keys(top, {"claim", "hints"}, {"claim", "hints"}, source)
 
     claim = _parse_claim(top["claim"], f"{source}.claim")
@@ -124,10 +135,7 @@ def load_instance(path) -> InstanceDocument:
 def load_eta_spec(path) -> EtaQuotientSpec:
     """Read an eta quotient written as {"M": level, "r": {divisor: exponent}}."""
     where = str(path)
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read eta spec: {exc}", where)
+    doc = _read_json(Path(path).read_text(encoding="utf-8"), where)
     _check_keys(_require_mapping(doc, where), {"M", "r"}, {"M", "r"}, where)
     return _parse_divisor_map(doc["r"], _get_int(doc, "M", where), f"{where}.r")
 

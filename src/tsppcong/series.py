@@ -117,7 +117,10 @@ class TruncatedSeries:
         return self.coeffs[n]
 
     def reduced(self, u: int) -> "TruncatedSeries":
-        """The coefficientwise image in Z/u."""
+        """The coefficientwise image in Z/u; over Z/M, u must divide M."""
+        m = self.ring.modulus
+        if m is not None and m % u != 0:
+            raise ValueError(f"coefficients over {self.ring!r} do not determine residues mod {u}")
         return TruncatedSeries(residues_mod(u), self.coeffs)
 
     def __mul__(self, other):
@@ -132,6 +135,10 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.ring!r}, order={self.order}, [{head}{tail}])"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EtaQuotientSpec:
     """Exponent vector of an eta quotient: one integer per divisor of the level.
@@ -139,24 +146,28 @@ class EtaQuotientSpec:
     The attached series is prod over divisors d of (q^d; q^d)_inf ** exponent.
     Exponents may be given as a mapping or as (divisor, exponent) pairs;
     divisors left out get exponent 0, keys that do not divide the level are
-    rejected.
+    rejected.  The level, every divisor and every exponent must be an int
+    other than a bool; nothing is coerced.
     """
 
     level: int
     exponents: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be a positive integer")
+        if not _is_int(self.level) or self.level < 1:
+            raise ValueError(f"level must be a positive integer, got {self.level!r}")
         raw = self.exponents
         given = dict(raw.items()) if isinstance(raw, Mapping) else dict(raw)
+        bad = [x for x in (*given, *given.values()) if not _is_int(x)]
+        if bad:
+            raise ValueError(f"every divisor and exponent must be an integer, got {bad[0]!r}")
         divs = divisors(self.level)
         bad = sorted(set(given) - set(divs))
         if bad:
             raise ValueError(
                 f"exponent keys {bad} do not divide the level {self.level}"
             )
-        full = tuple((d, int(given.get(d, 0))) for d in divs)
+        full = tuple((d, given.get(d, 0)) for d in divs)
         object.__setattr__(self, "exponents", full)
 
     def as_dict(self) -> dict[int, int]:

@@ -5,11 +5,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tsppcong as tc
-from tsppcong import cli
+from tsppcong import cli, documents
 from tsppcong.cli import main
 from tsppcong.documents import shipped_instance
 
@@ -39,6 +40,10 @@ EXPAND_SHA256 = {
     ("--seq", "f", "--order", "50000", "--mod", "5500"):
         "70f63d4a2ad23b18cac3b6ee69b0b6ce4dbb01584636ced2158fdc3f76bcffc3",
 }
+
+
+# the bytes `tsppcong regress` prints: 22 rows and the overall line
+REGRESS_SHA256 = "3c6184ba5650d6d64d3792a87d8a1bbeb3bbfa11149cf498bafe315a8e13d52a"
 
 
 def write_instance(tmp_path, payload, name="case.json"):
@@ -130,6 +135,8 @@ def test_expand_usage_errors(capsys, tmp_path):
         '{"M": 2, "r": [1]}',
         '[2]',
         '{"M": 2, "r": {"1": 1}, "x": 0}',
+        '{"M": 2, "M": 3, "r": {}}',
+        '{"M": 2, "r": {"1": 1, "01": 2}}',
     ):
         bad_spec.write_text(text, encoding="utf-8")
         assert main(["expand", "--seq", "eta", "--spec", str(bad_spec), "--order", "3"]) == 2, text
@@ -299,13 +306,61 @@ def test_prove_failed_verification_exits_3(tmp_path, capsys):
 
 def test_regress_prints_every_row(capsys):
     assert main(["regress"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REGRESS_SHA256
+    lines = out.splitlines()
     assert len(lines) == 23
     assert all(" PASS " in line for line in lines[:-1])
     assert lines[-1].split() == ["overall", "PASS"]
     with pytest.raises(SystemExit) as info:
         main(["regress", "--oracle-max", "0"])
     assert info.value.code == 2
+
+
+def regress_data_file_without_hints(tmp_path, monkeypatch):
+    # the real data-directory scan, pointed at a directory holding one bad file
+    (tmp_path / "data").mkdir()
+    claim = {"sequence": "f", "A": 1250, "B": 125, "u": 125}
+    (tmp_path / "data" / "zz_bad.json").write_text(json.dumps({"claim": claim}), encoding="utf-8")
+    monkeypatch.setattr(documents, "resources", SimpleNamespace(files=lambda _: tmp_path))
+    return ["regress"], "zz_bad: missing field(s) ['hints']"
+
+
+def regress_unsupported_level(tmp_path, monkeypatch):
+    doc = documents.InstanceDocument(
+        tc.CongruenceClaim("f", 1250, 125, 125), tc.InstanceHints(50, tc.EtaQuotientSpec(50, {1: 13}))
+    )
+    monkeypatch.setattr(documents, "shipped_instances", lambda: (doc,))
+    return ["regress"], "group level 50 is not supported"
+
+
+def prove_undecodable_instance(tmp_path, monkeypatch):
+    path = tmp_path / "case.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    return ["prove", "--instance", str(path), "--out", str(tmp_path / "c.json")], "can't decode"
+
+
+def expand_missing_spec(tmp_path, monkeypatch):
+    path = tmp_path / "nope.json"
+    return ["expand", "--seq", "eta", "--spec", str(path), "--order", "3"], str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        regress_data_file_without_hints,
+        regress_unsupported_level,
+        prove_undecodable_instance,
+        expand_missing_spec,
+    ],
+)
+def test_refused_input_exits_2_from_every_command(case, tmp_path, capsys, monkeypatch):
+    argv, message = case(tmp_path, monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_module_entry_point_runs_in_subprocess():

@@ -70,6 +70,17 @@ def test_parse_fills_missing_divisors():
         pytest.param(
             lambda d: d["claim"].__setitem__("sequence", "g"), "sequence must be 'f'", id="g-claim"
         ),
+        # int() would read "01" as divisor 1, overriding r'_1 = 13, and "1_0" as 10
+        pytest.param(
+            lambda d: d["hints"]["r_prime"].__setitem__("01", 0),
+            re.escape("divisor key '01' is not an integer"),
+            id="key-01",
+        ),
+        pytest.param(
+            lambda d: d["hints"]["r_prime"].__setitem__("1_0", 1),
+            re.escape("divisor key '1_0' is not an integer"),
+            id="key-1_0",
+        ),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, message):
@@ -82,6 +93,13 @@ def test_parse_rejects_malformed_documents(mutate, message):
 def test_parse_rejects_bad_json():
     with pytest.raises(DocumentError, match="not valid JSON"):
         parse_instance("{not json", source="somewhere")
+    # json.loads alone keeps the last value of a repeated key
+    for text, key in (
+        (GOOD.replace('"u": 125', '"u": 125, "u": 5'), "u"),
+        (GOOD.replace('"N": 10', '"N": 10, "N": 5'), "N"),
+    ):
+        with pytest.raises(DocumentError, match=re.escape(f"somewhere: duplicate key {key!r}")):
+            parse_instance(text, source="somewhere")
 
 
 def test_claim_offset_range_is_validated():

@@ -1,6 +1,7 @@
 """Series arithmetic: frozen examples from the brute-force oracles plus
 algebraic property tests."""
 
+import re
 from functools import lru_cache
 from math import gcd
 
@@ -262,6 +263,17 @@ def test_eta_quotient_spec_validation():
         tc.EtaQuotientSpec(10, {3: 1})
     with pytest.raises(ValueError):
         tc.EtaQuotientSpec(0, {})
+    # the level, every divisor and every exponent is an int, never coerced
+    for level, exponents, value in (
+        (2, {1: 2.7}, "2.7"),
+        (2, {2: True}, "True"),
+        (2, {1: "3"}, "'3'"),
+        (2, {1.0: 1}, "1.0"),
+        (2.0, {1: 1}, "2.0"),
+        (True, {}, "True"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(value)):
+            tc.EtaQuotientSpec(level, exponents)
     spec = tc.EtaQuotientSpec(10, {5: -25, 1: 123, 2: 3})
     assert spec.exponents == ((1, 123), (2, 3), (5, -25), (10, 0))
     assert spec.exponent_sum() == 101
@@ -394,6 +406,11 @@ def test_pentagonal_terms_are_sorted_and_signed():
 def test_series_normalizes_residues():
     s = tc.TruncatedSeries(tc.residues_mod(7), (-1, 9, 7))
     assert s.coeffs == (6, 2, 0)
+    # Z/6 -> Z/3 is a ring map, Z/6 -> Z/4 is not
+    six = tc.TruncatedSeries(tc.residues_mod(6), (5, 4, 3))
+    assert six.reduced(3).coeffs == (2, 1, 0)
+    with pytest.raises(ValueError, match="do not determine residues mod 4"):
+        six.reduced(4)
 
 
 def test_coefficient_ring_validation():
