@@ -27,9 +27,8 @@ if TYPE_CHECKING:  # prover imports this module
 class DocumentError(ValueError):
     """A document failed to parse or validate; the message names the field."""
 
-    def __init__(self, message: str, where: str = ""):
-        self.where = where
-        super().__init__(f"{where}: {message}" if where else message)
+    def __init__(self, message: str, where: str):
+        super().__init__(f"{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,13 @@ class InstanceDocument:
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
+
+
+def _read_text(path, where: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # its text does not name the file
+        raise DocumentError(str(exc), where)
 
 
 def _read_json(text: str, where: str):
@@ -129,13 +135,13 @@ def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
 
 def load_instance(path) -> InstanceDocument:
     p = Path(path)
-    return parse_instance(p.read_text(encoding="utf-8"), source=str(p))
+    return parse_instance(_read_text(p, str(p)), source=str(p))
 
 
 def load_eta_spec(path) -> EtaQuotientSpec:
     """Read an eta quotient written as {"M": level, "r": {divisor: exponent}}."""
     where = str(path)
-    doc = _read_json(Path(path).read_text(encoding="utf-8"), where)
+    doc = _read_json(_read_text(Path(path), where), where)
     _check_keys(_require_mapping(doc, where), {"M", "r"}, {"M", "r"}, where)
     return _parse_divisor_map(doc["r"], _get_int(doc, "M", where), f"{where}.r")
 
@@ -147,7 +153,7 @@ def _shipped() -> dict[str, InstanceDocument]:
     for entry in (resources.files("tsppcong") / "data").iterdir():
         if entry.name.endswith(".json"):
             name = entry.name.removesuffix(".json")
-            docs[name] = parse_instance(entry.read_text(encoding="utf-8"), source=name)
+            docs[name] = parse_instance(_read_text(entry, name), source=name)
 
     def claim_order(item):
         claim = item[1].claim

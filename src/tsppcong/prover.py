@@ -77,13 +77,10 @@ def known_congruences() -> tuple[CongruenceClaim, ...]:
 
 def build_instance(g_claim: tspp.SliceClaim, hints: InstanceHints) -> VerificationInstance:
     """Assemble the verifier input for a slice-variant claim."""
-    spec = slice_variant_spec(g_claim.alpha, g_claim.p)
     return VerificationInstance(
         m=g_claim.step,
-        M=spec.level,
-        N=hints.group_level,
         t=g_claim.offset,
-        r=spec,
+        r=slice_variant_spec(g_claim.alpha, g_claim.p),
         r_prime=hints.r_prime,
         u=g_claim.modulus,
     )

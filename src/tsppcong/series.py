@@ -145,9 +145,9 @@ class EtaQuotientSpec:
 
     The attached series is prod over divisors d of (q^d; q^d)_inf ** exponent.
     Exponents may be given as a mapping or as (divisor, exponent) pairs;
-    divisors left out get exponent 0, keys that do not divide the level are
-    rejected.  The level, every divisor and every exponent must be an int
-    other than a bool; nothing is coerced.
+    divisors left out get exponent 0, and a divisor given twice or one that
+    does not divide the level is rejected.  The level, every divisor and
+    every exponent must be an int other than a bool; nothing is coerced.
     """
 
     level: int
@@ -157,7 +157,11 @@ class EtaQuotientSpec:
         if not _is_int(self.level) or self.level < 1:
             raise ValueError(f"level must be a positive integer, got {self.level!r}")
         raw = self.exponents
-        given = dict(raw.items()) if isinstance(raw, Mapping) else dict(raw)
+        given = {}
+        for d, e in raw.items() if isinstance(raw, Mapping) else raw:
+            if d in given:
+                raise ValueError(f"divisor {d!r} is given twice")
+            given[d] = e
         bad = [x for x in (*given, *given.values()) if not _is_int(x)]
         if bad:
             raise ValueError(f"every divisor and exponent must be an integer, got {bad[0]!r}")

@@ -115,22 +115,23 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     Expands 1 + sum_{n>=1} q^(3n-2) * prod_{i=0}^{n-2} (1 + q^(6i+3)).  One
     array holds the coefficients of q^(3j+1), which in x = q^3 form
     U_0 = sum_n x^n prod_{i<n} (1 + x^(2i+1)), by Horner's rule
-    U_k = x^k + (1 + x^(2k+1)) U_(k+1) from U_lc = 0.  Over Z/u each step
-    reduces what it wrote, so values stay below 2u, which picks the dtype.
+    U_k = x^k + (1 + x^(2k+1)) U_(k+1) from U_lc = 0.  As step k reads only
+    slots above k and writes only from 3k+2 on, every x^k is a starting 1
+    and the steps with 3k+2 >= lc, which write nothing, are skipped.  Over
+    Z/u each step reduces what it wrote, so values stay below 2u.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     u = ring.modulus
     lc = (order + 2) // 3
-    acc = np.zeros(lc, dtype=array_dtype(None if u is None else 2 * u))
-    for k in range(lc - 1, -1, -1):
+    acc = np.ones(lc, dtype=array_dtype(None if u is None else 2 * u))
+    for k in range((lc - 3) // 3, -1, -1):
         tail = acc[3 * k + 2 :]
         # U_(k+1) starts at x^(k+1), so x^(2k+1) U_(k+1) starts at x^(3k+2);
         # the operands overlap and numpy reads the source before writing
         tail += acc[k + 1 : k + 1 + len(tail)]
         if u is not None:
             np.remainder(tail, u, out=tail)
-        acc[k] += 1
     out = [1] + [0] * order
     out[1::3] = acc.tolist()
     return TruncatedSeries(ring, tuple(out))

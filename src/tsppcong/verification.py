@@ -51,35 +51,35 @@ class VerificationInstance:
     """Complete input to the finite verification check.
 
     m        progression step; the claim is about coefficients c(m*n + t').
-    M        level of the eta quotient whose coefficients are checked.
-    N        level of the congruence subgroup carrying the cusp conditions.
     t        seed residue, 0 <= t < m.
-    r        eta-quotient exponent vector over the divisors of M.
-    r_prime  auxiliary exponent vector over the divisors of N.
+    r        eta-quotient exponent vector; its level is M.
+    r_prime  auxiliary exponent vector; its level is the group level N.
     u        modulus of the congruence.
     """
 
     m: int
-    M: int
-    N: int
     t: int
     r: EtaQuotientSpec
     r_prime: EtaQuotientSpec
     u: int
 
     def __post_init__(self):
-        if self.m < 1 or self.M < 1 or self.N < 1:
-            raise ValueError("m, M and N must be positive")
+        if self.m < 1:
+            raise ValueError(f"m must be positive, got {self.m}")
         if not 0 <= self.t < self.m:
             raise ValueError(f"seed residue {self.t} outside [0, {self.m})")
         if self.u < 2:
             raise ValueError(f"modulus must be at least 2, got {self.u}")
-        if self.r.level != self.M:
-            raise ValueError(f"exponent vector has level {self.r.level}, expected {self.M}")
-        if self.r_prime.level != self.N:
-            raise ValueError(
-                f"auxiliary vector has level {self.r_prime.level}, expected {self.N}"
-            )
+
+    @property
+    def M(self) -> int:
+        """Level of the eta quotient whose coefficients are checked."""
+        return self.r.level
+
+    @property
+    def N(self) -> int:
+        """Level of the congruence subgroup carrying the cusp conditions."""
+        return self.r_prime.level
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def admissibility_check(instance: VerificationInstance) -> AdmissibilityReport:
     conditions that nothing in this package exercises, so it is rejected
     loudly instead of guessed at.
     """
-    m, M, N, t = instance.m, instance.M, instance.N, instance.t
+    m, N, t = instance.m, instance.N, instance.t
     if m % 2 == 0:
         raise UnsupportedInstanceError(
             f"progression step {m} is even; only odd steps are supported"
@@ -396,9 +396,8 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     """
     report = admissibility_check(instance)
     kap = kappa(instance.m)
-    reps = coset_reps(instance.N)
     cusps = []
-    for rep in reps:
+    for rep in coset_reps(instance.N):
         eta_ord, lam = cusp_order_bound(rep, instance.m, instance.r, kap)
         aux = aux_cusp_order(rep, instance.r_prime)
         cusps.append(CuspEntry(rep, eta_ord, aux, eta_ord + aux, lam))
@@ -406,43 +405,35 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     members = bound.orbit
 
     failure = None
+    negative = next((e for e in cusps if e.total < 0), None)
     if not report.passed:
         failure = "admissibility condition failed: " + ", ".join(report.failing())
-    else:
-        for entry in cusps:
-            if entry.total < 0:
-                failure = (
-                    f"cusp bound negative at c={entry.rep.c}: "
-                    f"{entry.total.numerator}/{entry.total.denominator}"
-                )
-                break
+    elif negative is not None:
+        failure = (
+            f"cusp bound negative at c={negative.rep.c}: "
+            f"{negative.total.numerator}/{negative.total.denominator}"
+        )
 
-    checked: tuple[ProgressionCheck, ...] = ()
+    checked = []
     expansion_order = None
     if failure is None:
-        if bound.v_floor >= 0:
+        # a negative bound leaves ns empty: nothing is expanded or read, and
+        # every orbit member gets an empty check that passes
+        ns = range(bound.v_floor + 1)
+        if ns:
             expansion_order = instance.m * bound.v_floor + max(members)
             step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
             offset = members[0] % step
             series = _expansion(instance.r, expansion_order, instance.u, step, offset)
-            results = []
-            for t_prime in members:
-                indices = tuple(
-                    instance.m * n + t_prime for n in range(bound.v_floor + 1)
+        for t_prime in members:
+            indices = tuple(instance.m * n + t_prime for n in ns)
+            violation = next((i for i in indices if series[(i - offset) // step]), None)
+            checked.append(ProgressionCheck(t_prime, indices, violation is None, violation))
+            if violation is not None and failure is None:
+                failure = (
+                    f"coefficient at index {violation} is "
+                    f"{series[(violation - offset) // step]} (mod {instance.u}), expected 0"
                 )
-                violation = next((i for i in indices if series[(i - offset) // step]), None)
-                results.append(
-                    ProgressionCheck(t_prime, indices, violation is None, violation)
-                )
-                if violation is not None and failure is None:
-                    failure = (
-                        f"coefficient at index {violation} is "
-                        f"{series[(violation - offset) // step]} (mod {instance.u}), expected 0"
-                    )
-            checked = tuple(results)
-        else:
-            # nothing to check: the bound is negative, the claim follows outright
-            checked = tuple(ProgressionCheck(tp, (), True, None) for tp in members)
 
     return Certificate(
         instance=instance,
@@ -455,7 +446,7 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
         bound=bound.v,
         bound_floor=bound.v_floor,
         expansion_order=expansion_order,
-        checked=checked,
+        checked=tuple(checked),
         verdict="VERIFIED" if failure is None else "FAILED",
         failure=failure,
     )

@@ -15,8 +15,6 @@ def instance1():
     """m=625 seed: proves the slice-variant claims behind the mod 125 results."""
     return tc.VerificationInstance(
         m=625,
-        M=10,
-        N=10,
         t=229,
         r=tc.slice_variant_spec(3, 5),
         r_prime=tc.EtaQuotientSpec(10, {1: 13}),
@@ -29,8 +27,6 @@ def instance2():
     """m=1375 seed: proves the slice-variant claims behind the mod 11 results."""
     return tc.VerificationInstance(
         m=1375,
-        M=22,
-        N=110,
         t=1054,
         r=tc.slice_variant_spec(1, 11),
         r_prime=tc.EtaQuotientSpec(110, {1: 6}),

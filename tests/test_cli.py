@@ -345,6 +345,27 @@ def expand_missing_spec(tmp_path, monkeypatch):
     return ["expand", "--seq", "eta", "--spec", str(path), "--order", "3"], str(path)
 
 
+def regress_undecodable_data_file(tmp_path, monkeypatch):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "zz_bad.json").write_bytes(b"\xff\xfe\x00")
+    monkeypatch.setattr(documents, "resources", SimpleNamespace(files=lambda _: tmp_path))
+    return ["regress"], "zz_bad: 'utf-8' codec can't decode"
+
+
+def expand_undecodable_spec(tmp_path, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = ["expand", "--seq", "eta", "--spec", str(path), "--order", "3"]
+    return argv, f"{path}: 'utf-8' codec can't decode"
+
+
+def prove_undecodable_instance_names_file(tmp_path, monkeypatch):
+    path = tmp_path / "case.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = ["prove", "--instance", str(path), "--out", str(tmp_path / "c.json")]
+    return argv, f"{path}: 'utf-8' codec can't decode"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -352,6 +373,9 @@ def expand_missing_spec(tmp_path, monkeypatch):
         regress_unsupported_level,
         prove_undecodable_instance,
         expand_missing_spec,
+        regress_undecodable_data_file,
+        expand_undecodable_spec,
+        prove_undecodable_instance_names_file,
     ],
 )
 def test_refused_input_exits_2_from_every_command(case, tmp_path, capsys, monkeypatch):
@@ -368,6 +392,7 @@ def test_module_entry_point_runs_in_subprocess():
         [sys.executable, "-m", "tsppcong", "expand", "--seq", "f", "--order", "3"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         check=True,
     )
     assert result.stdout == "0\t1\n1\t1\n2\t0\n3\t0\n"

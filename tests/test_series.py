@@ -263,6 +263,9 @@ def test_eta_quotient_spec_validation():
         tc.EtaQuotientSpec(10, {3: 1})
     with pytest.raises(ValueError):
         tc.EtaQuotientSpec(0, {})
+    # the pairs form keeps every pair: a repeated divisor is not overridden
+    with pytest.raises(ValueError, match="divisor 1 is given twice"):
+        tc.EtaQuotientSpec(10, [(1, 13), (1, 0)])
     # the level, every divisor and every exponent is an int, never coerced
     for level, exponents, value in (
         (2, {1: 2.7}, "2.7"),

@@ -14,9 +14,10 @@ def test_counting_series_first_values():
 
 
 def test_counting_series_matches_uncompressed_expansion():
-    # orders 0..6 fill at most two slots and take no shifted addition, 7..12
-    # take the first, shortest ones
-    for order in (*range(13), 150):
+    # orders 0..6 fill lc <= 2 slots and run no step; 0..40 give lc = 0..14,
+    # so every residue of lc mod 3 and each first step (lc - 3) // 3 from -1
+    # to 3, the shortest shifted additions among them
+    for order in (*range(41), 150):
         brute = oracles.tspp_brute(order)
         assert list(tc.tspp_series(order).coeffs) == brute, order
         mod2 = tc.tspp_series(order, tc.residues_mod(2)).coeffs

@@ -40,8 +40,6 @@ def tiny_instance():
     """Partition numbers on 5n+4 modulo 5: the smallest real end-to-end case."""
     return tc.VerificationInstance(
         m=5,
-        M=1,
-        N=5,
         t=4,
         r=tc.EtaQuotientSpec(1, {1: -1}),
         r_prime=tc.EtaQuotientSpec(5, {1: 5}),
@@ -81,7 +79,7 @@ def test_orbit_reproduces_instances(instance1, instance2):
 
 def test_orbit_degenerate_step():
     inst = tc.VerificationInstance(
-        m=1, M=10, N=10, t=0,
+        m=1, t=0,
         r=tc.slice_variant_spec(3, 5),
         r_prime=tc.EtaQuotientSpec(10, {}), u=125,
     )
@@ -251,7 +249,7 @@ def test_admissibility_passes_on_both_instances(instance1, instance2):
 
 def test_admissibility_fails_when_group_level_misses_primes(instance1):
     broken = tc.VerificationInstance(
-        m=625, M=10, N=3, t=229,
+        m=625, t=229,
         r=instance1.r, r_prime=tc.EtaQuotientSpec(3, {}), u=125,
     )
     report = tc.admissibility_check(broken)
@@ -261,7 +259,7 @@ def test_admissibility_fails_when_group_level_misses_primes(instance1):
 
 def test_admissibility_rejects_even_step():
     inst = tc.VerificationInstance(
-        m=4, M=4, N=4, t=3,
+        m=4, t=3,
         r=tc.slice_variant_spec(2, 2),
         r_prime=tc.EtaQuotientSpec(4, {}), u=4,
     )
@@ -290,7 +288,7 @@ def test_verification_bound_exact_values(instance1, instance2):
 
 def test_verification_bound_degenerate():
     inst = tc.VerificationInstance(
-        m=1, M=1, N=1, t=0,
+        m=1, t=0,
         r=tc.EtaQuotientSpec(1, {}), r_prime=tc.EtaQuotientSpec(1, {}), u=2,
     )
     v = tc.verification_bound(inst)
@@ -299,7 +297,7 @@ def test_verification_bound_degenerate():
 
 def test_bound_floor_uses_true_floor_for_negative_values():
     inst = tc.VerificationInstance(
-        m=5, M=1, N=5, t=4,
+        m=5, t=4,
         r=tc.EtaQuotientSpec(1, {1: -1}),
         r_prime=tc.EtaQuotientSpec(5, {}), u=5,
     )
@@ -357,7 +355,7 @@ def test_verify_negative_bound_reads_no_coefficient():
     # the eta quotient with r = {} is the series 1, so c(5n+1) and c(5n+4)
     # vanish; the bound -1/5 has floor -1 and the claim holds with no expansion
     empty = tc.VerificationInstance(
-        m=5, M=1, N=5, t=1,
+        m=5, t=1,
         r=tc.EtaQuotientSpec(1, {}),
         r_prime=tc.EtaQuotientSpec(5, {}), u=5,
     )
@@ -378,7 +376,7 @@ def test_verify_negative_bound_reads_no_coefficient():
 def test_verify_reports_negative_cusp_bound(tiny_instance):
     # drop the auxiliary compensation: the c=1 cusp bound turns negative
     bare = tc.VerificationInstance(
-        m=5, M=1, N=5, t=4,
+        m=5, t=4,
         r=tc.EtaQuotientSpec(1, {1: -1}),
         r_prime=tc.EtaQuotientSpec(5, {}), u=5,
     )
@@ -390,7 +388,7 @@ def test_verify_reports_negative_cusp_bound(tiny_instance):
 
 def test_verify_perturbed_seed_fails_admissibility(instance1):
     perturbed = tc.VerificationInstance(
-        m=625, M=10, N=10, t=230,
+        m=625, t=230,
         r=instance1.r, r_prime=instance1.r_prime, u=125,
     )
     cert = tc.verify_instance(perturbed)
@@ -401,11 +399,36 @@ def test_verify_perturbed_seed_fails_admissibility(instance1):
     assert cert.expansion_order is None and cert.checked == ()
 
 
+def _no_aux_instance(t):
+    # without r' the cusps c = 1 and c = 5 of level 10 are negative
+    return tc.VerificationInstance(
+        m=625, t=t, r=tc.slice_variant_spec(3, 5), r_prime=tc.EtaQuotientSpec(10, {}), u=125
+    )
+
+
+def test_verify_admissibility_failure_precedes_negative_cusps():
+    lookups = tc.verification._expansion.cache_info()
+    cert = tc.verify_instance(_no_aux_instance(230))
+    assert cert.failure == "admissibility condition failed: orbit_step_divides_group_level"
+    assert [e.rep.c for e in cert.cusps] == [1, 2, 5, 10]
+    assert [e.total < 0 for e in cert.cusps] == [True, False, True, False]
+    assert cert.expansion_order is None and cert.checked == ()
+    assert tc.verification._expansion.cache_info() == lookups  # no expansion asked for
+
+
+def test_verify_reports_first_negative_cusp():
+    cert = tc.verify_instance(_no_aux_instance(229))
+    assert cert.admissibility.passed
+    assert cert.failure == "cusp bound negative at c=1: -25/48"
+    assert cert.cusps[2].total == Fraction(-1, 30000)  # c = 5 is negative too
+    assert cert.expansion_order is None and cert.checked == ()
+
+
 def test_verify_coefficient_violation_is_reported():
     # claim p(5n+1) = 0 (mod 5): admissible and cusp-safe with the same
     # auxiliary vector, but p(1) = 1 breaks the coefficient check
     inst = tc.VerificationInstance(
-        m=5, M=1, N=5, t=1,
+        m=5, t=1,
         r=tc.EtaQuotientSpec(1, {1: -1}),
         r_prime=tc.EtaQuotientSpec(5, {1: 5}), u=5,
     )
@@ -419,13 +442,9 @@ def test_instance_validation():
     spec = tc.slice_variant_spec(3, 5)
     aux = tc.EtaQuotientSpec(10, {1: 13})
     with pytest.raises(ValueError):
-        tc.VerificationInstance(m=625, M=10, N=10, t=625, r=spec, r_prime=aux, u=125)
+        tc.VerificationInstance(m=625, t=625, r=spec, r_prime=aux, u=125)
     with pytest.raises(ValueError):
-        tc.VerificationInstance(m=625, M=11, N=10, t=229, r=spec, r_prime=aux, u=125)
-    with pytest.raises(ValueError):
-        tc.VerificationInstance(m=625, M=10, N=11, t=229, r=spec, r_prime=aux, u=125)
-    with pytest.raises(ValueError):
-        tc.VerificationInstance(m=625, M=10, N=10, t=229, r=spec, r_prime=aux, u=1)
+        tc.VerificationInstance(m=625, t=229, r=spec, r_prime=aux, u=1)
 
 
 def test_certificate_is_reproducible_byte_for_byte(tiny_instance):
