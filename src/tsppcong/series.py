@@ -14,13 +14,15 @@ binary powering.
 Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
 weighted shifted additions: r // 3 passes over the Jacobi support of
 (q^d; q^d)**3 and r % 3 over the pentagonal support of (q^d; q^d).  One
-pass function serves both rings; over Z/u it runs in int32 or int64 when
-u times the summed weights fits, else in object arrays.  Each negative
+pass function serves both rings; it multiplies once per weight magnitude
+and over Z/u runs in the narrowest of int8, int16, int32 and int64 that
+holds u times the summed weights, else in object arrays.  Each negative
 exponent costs one Newton inverse at order // d, multiplied into the d
 residue classes of the exponent separately.  eta_quotient can return one
 progression c(step*n + offset) of the expansion; the last inverse multiply
 then skips the classes the progression never reads.  Everything is exact:
-int32, int64 or object numpy arrays and Python ints, no floating point.
+fixed-width integer or object numpy arrays and Python ints, no floating
+point.
 """
 
 from __future__ import annotations
@@ -55,16 +57,21 @@ class NonUnitConstantError(ValueError):
         super().__init__(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CoefficientRing:
     """Exact integers when modulus is None, else Z/modulus with canonical
-    residues in [0, modulus)."""
+    residues in [0, modulus); the modulus must be an int, not a bool."""
 
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
+        m = self.modulus
+        if m is not None and not (_is_int(m) and m >= 2):
+            raise ValueError(f"modulus must be an integer of at least 2, got {m!r}")
 
     def normalize(self, value: int) -> int:
         return value if self.modulus is None else value % self.modulus
@@ -133,10 +140,6 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"TruncatedSeries({self.ring!r}, order={self.order}, [{head}{tail}])"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -417,10 +420,12 @@ def _euler_power(coeffs: list[int], d: int, r: int, modulus: int | None) -> list
 
 
 def array_dtype(bound: int | None):
-    """The narrowest dtype for values of absolute value below bound; None is Z."""
-    if bound is None or bound >= 2**63:
-        return object
-    return np.int32 if bound < 2**31 else np.int64
+    """The narrowest of int8, int16, int32 and int64 for values of absolute
+    value below bound, or object from 2**63 on; None is Z."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound is not None and bound < 2 ** (np.iinfo(dtype).bits - 1):
+            return dtype
+    return object
 
 
 def _sparse_passes(
@@ -430,9 +435,11 @@ def _sparse_passes(
     that start with (0, 1), by r passes of weighted shifted additions.
 
     Over Z/u the weights are reduced to centred residues and zero ones are
-    dropped; weights of +-1 are a plain add or subtract.  A pass sums
-    residues below u times the weights, so its values stay below u * sum|w|,
-    the bound that picks the array's dtype.
+    dropped.  The other terms are grouped by |w|: a pass forms |w| * acc once
+    per group, over the prefix the group's smallest shift reads (acc itself
+    when |w| = 1), and adds or subtracts one shifted view of it per term.  A
+    pass sums residues below u times the weights, so its values stay below
+    u * sum|w|, the bound that picks the array's dtype.
     """
     if r == 0:
         return coeffs
@@ -445,18 +452,22 @@ def _sparse_passes(
     acc = np.array(coeffs, dtype=array_dtype(bound))
     work = np.empty_like(acc)
     scratch = np.empty_like(acc)
-    # every pass reads acc and writes work, so the shifted views are built once
-    shifts = [(w, work[e:], acc[: n - e], scratch[: n - e]) for e, w in terms[1:]]
+    # every pass reads acc and writes work, so the views are built once; the
+    # first term of each |w| has the smallest shift and the longest prefix
+    plan = {}
+    for e, w in terms[1:]:
+        size = abs(w)
+        if size not in plan:
+            plan[size] = (acc[: n - e], (acc if size == 1 else scratch)[: n - e], [])
+        _, prod, adds = plan[size]
+        adds.append((work[e:], prod[: n - e], np.add if w > 0 else np.subtract))
     for _ in range(r):
         np.copyto(work, acc)
-        for w, dst, src, tmp in shifts:
-            if w == 1:
-                np.add(dst, src, out=dst)
-            elif w == -1:
-                np.subtract(dst, src, out=dst)
-            else:
-                np.multiply(src, w, out=tmp)
-                np.add(dst, tmp, out=dst)
+        for size, (src, prod, adds) in plan.items():
+            if size != 1:
+                np.multiply(src, size, out=prod)
+            for dst, shifted, op in adds:
+                op(dst, shifted, out=dst)
         if modulus is None:
             np.copyto(acc, work)
         else:

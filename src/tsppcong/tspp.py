@@ -118,19 +118,25 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     U_k = x^k + (1 + x^(2k+1)) U_(k+1) from U_lc = 0.  As step k reads only
     slots above k and writes only from 3k+2 on, every x^k is a starting 1
     and the steps with 3k+2 >= lc, which write nothing, are skipped.  Over
-    Z/u each step reduces what it wrote, so values stay below 2u.
+    Z/u a step leaves what it wrote in [0, 2u) and reduces it by one
+    conditional subtraction, or by a remainder once 2u >= 2**63 needs ints.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     u = ring.modulus
     lc = (order + 2) // 3
     acc = np.ones(lc, dtype=array_dtype(None if u is None else 2 * u))
+    unsigned = acc.view(f"u{acc.itemsize}") if acc.dtype != object else None
     for k in range((lc - 3) // 3, -1, -1):
         tail = acc[3 * k + 2 :]
         # U_(k+1) starts at x^(k+1), so x^(2k+1) U_(k+1) starts at x^(3k+2);
         # the operands overlap and numpy reads the source before writing
         tail += acc[k + 1 : k + 1 + len(tail)]
-        if u is not None:
+        if unsigned is not None:
+            # tail is in [0, 2u): below u, v - u wraps past 2u and min keeps v
+            v = unsigned[3 * k + 2 :]
+            np.minimum(v, v - v.dtype.type(u), out=v)
+        elif u is not None:
             np.remainder(tail, u, out=tail)
     out = [1] + [0] * order
     out[1::3] = acc.tolist()

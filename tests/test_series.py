@@ -5,13 +5,14 @@ import re
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 import tsppcong as tc
-from tsppcong.series import jacobi_terms, pentagonal_terms
+from tsppcong.series import array_dtype, jacobi_terms, pentagonal_terms
 
 MODULI = [4, 5, 11, 25, 121, 125]
 # fits int64, but one pass over it could overflow: forces the object arrays
@@ -358,18 +359,46 @@ def test_eta_quotient_rejects_bad_progressions():
             tc.eta_quotient(spec, 10, tc.INTEGERS, step, offset)
 
 
+def test_array_dtype_ladder():
+    # the narrowest signed width whose range holds every |value| < bound,
+    # strictly: bound 2**(bits-1) already needs the next width
+    table = [(None, object), (1, np.int8)]
+    for bits, dtype, wider in (
+        (8, np.int8, np.int16),
+        (16, np.int16, np.int32),
+        (32, np.int32, np.int64),
+        (64, np.int64, object),
+    ):
+        table += [(2 ** (bits - 1) - 1, dtype), (2 ** (bits - 1), wider)]
+    for bound, dtype in table:
+        assert array_dtype(bound) is dtype, bound
+
+
 def test_sparse_pass_dtype_bound():
     # (q;q)^6 is two Jacobi passes, the second over residues of (q;q)^3 close
-    # to u.  A pass keeps its values below u * sum|w|: int32 below 2**31,
-    # int64 below 2**63, object above.  The last modulus is one the Euler
-    # pass bound (number of terms) * u < 2**63 would have kept in int64.
+    # to u.  A pass keeps its values below u * sum|w| over the weights
+    # centred mod u, and that bound picks int8 below 2**7, int16 below
+    # 2**15, int32 below 2**31, int64 below 2**63 and object above; each
+    # limit gets the largest modulus below it and the next one.  The last
+    # modulus is one the Euler pass bound (number of terms) * u < 2**63
+    # would have kept in int64.
     spec = tc.EtaQuotientSpec(1, {1: 6})
     order = 200
-    weight = sum(abs(w) for _, w in jacobi_terms(1, order))
+    terms = jacobi_terms(1, order)
+    weight = sum(abs(w) for _, w in terms)
+
+    def bound(u):
+        return u * sum(min(w % u, -w % u) for _, w in terms)
+
     exact_coeffs = tc.eta_quotient(spec, order).coeffs
     moduli = []
-    for limit in (2**31, 2**63):
-        below = (limit - 1) // weight
+    for limit in (2**7, 2**15, 2**31, 2**63):
+        # from u = 79 on no weight (at most 39) reduces, so the bound is u * weight
+        if limit <= 79 * weight:
+            below = max(u for u in range(2, 79) if bound(u) < limit)
+        else:
+            below = (limit - 1) // weight
+        assert bound(below) < limit <= bound(below + 1)
         moduli += [below, below + 1]
     euler_int64 = (2**63 - 1) // len(pentagonal_terms(1, order))
     assert euler_int64 * weight >= 2**63
@@ -377,6 +406,24 @@ def test_sparse_pass_dtype_bound():
     for u in moduli:
         got = tc.eta_quotient(spec, order, tc.residues_mod(u)).coeffs
         assert got == tuple(c % u for c in exact_coeffs), u
+
+
+def test_sparse_pass_groups_weights_by_magnitude():
+    # mod 3, 7 and 9 the centred Jacobi weights collide with both signs and
+    # some reduce to 0, so one product per |w| serves terms of either sign
+    order = 300
+    euler = oracles.euler_product(1, order)
+    powers = {0: [1] + [0] * order}
+    for r in range(1, 11):
+        powers[r] = oracles.poly_mul(powers[r - 1], euler, order)
+    for r in (9, 10):
+        exact_coeffs = tc.eta_quotient(tc.EtaQuotientSpec(1, {1: r}), order).coeffs
+        assert list(exact_coeffs) == powers[r], r
+        for u in (3, 7, 9):
+            residues = {w % u for _, w in jacobi_terms(1, order)}
+            assert 0 in residues and 1 in residues and u - 1 in residues
+            got = tc.eta_quotient(tc.EtaQuotientSpec(1, {1: r}), order, tc.residues_mod(u)).coeffs
+            assert got == tuple(c % u for c in exact_coeffs), (r, u)
 
 
 def test_jacobi_terms_are_the_cube_of_the_euler_product():
@@ -419,5 +466,9 @@ def test_series_normalizes_residues():
 def test_coefficient_ring_validation():
     with pytest.raises(ValueError):
         tc.residues_mod(1)
+    # a modulus that is not an int would reach numpy and int.bit_length
+    for bad in (5.0, True, "5", np.int64(5)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            tc.residues_mod(bad)
     assert tc.residues_mod(7).normalize(-1) == 6
     assert tc.INTEGERS.normalize(-1) == -1

@@ -26,11 +26,13 @@ def test_counting_series_matches_uncompressed_expansion():
 
 def test_counting_series_mod_kernel_matches_exact():
     # counts pass 2**31 at n = 1189 and 2**63 at n = 4264, so every modulus
-    # wraps; the kernel's values stay below 2u, so 2**30 - 1 is the last
-    # int32 modulus, 2**30 the first int64 one and 2**62 the first object one
+    # wraps.  The kernel's values stay below 2u and array_dtype(2u) picks
+    # int8 through u = 63, int16 from 64 through 16383, int32 from 16384
+    # through 2**30 - 1, int64 from 2**30 through 2**62 - 1 and object from
+    # 2**62 on; each edge is tested from both sides
     order = 5000
     exact = tc.tspp_series(order)
-    moduli = (4, 5, 25, 125, 11, 2**20, 2**20 + 1, 2**30 - 1, 2**30, 2**31 - 1)
+    moduli = (4, 5, 25, 125, 11, 63, 64, 16383, 16384, 2**20, 2**20 + 1, 2**30 - 1, 2**30, 2**31 - 1)
     for u in (*moduli, 2**61 - 1, 2**62 - 1, 2**62, 2**63 - 25):
         assert tc.tspp_series(order, tc.residues_mod(u)) == exact.reduced(u), u
 
