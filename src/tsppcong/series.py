@@ -6,10 +6,11 @@ order among its operands.
 
 All dense arithmetic goes through one multiply, _mul, by Kronecker
 substitution: each operand becomes one Python int of fixed-width limbs, so
-a product costs one big-integer multiplication.  Over Z the product is
-taken modulo a bound larger than twice any coefficient and lifted to the
-centred range.  Inversion is Newton iteration on top of it and powers are
-binary powering.
+a product costs one big-integer multiplication, and a sum of products costs
+one per term plus big-integer additions.  Over Z the result is taken modulo
+a bound larger than twice any coefficient and lifted to the centred range.
+Inversion is one Newton loop whose product a*g the caller supplies, and
+powers are binary powering.
 
 Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
 weighted shifted additions: r // 3 passes over the Jacobi support of
@@ -17,12 +18,14 @@ weighted shifted additions: r // 3 passes over the Jacobi support of
 pass function serves both rings; it multiplies once per weight magnitude
 and over Z/u runs in the narrowest of int8, int16, int32 and int64 that
 holds u times the summed weights, else in object arrays.  Each negative
-exponent costs one Newton inverse at order // d, multiplied into the d
-residue classes of the exponent separately.  eta_quotient can return one
-progression c(step*n + offset) of the expansion; the last inverse multiply
-then skips the classes the progression never reads.  Everything is exact:
-fixed-width integer or object numpy arrays and Python ints, no floating
-point.
+exponent r inverts (q; q)**r at order // d by Newton iteration whose product
+a*g is r's sparse passes over g, so (q; q)**r is never expanded; the
+inverse is multiplied into the d residue classes of the exponent
+separately.  eta_quotient can return one progression c(step*n + offset) of
+the expansion; the last negative factor then computes only the coefficients
+the progression reads, as a sum of step / gcd(step, d) products of
+interleaved pieces.  Everything is exact: fixed-width integer or object
+numpy arrays and Python ints, no floating point.
 """
 
 from __future__ import annotations
@@ -231,24 +234,26 @@ def _one(ring: CoefficientRing, order: int) -> TruncatedSeries:
     return TruncatedSeries(ring, (1,) + (0,) * order)
 
 
-def _mul(a: list[int], b: list[int], n: int, modulus: int | None) -> list[int]:
-    """Coefficients 0..n of a*b, reduced mod modulus, or exact when it is None.
+def _mul(pairs: list[tuple[list[int], list[int]]], n: int, modulus: int | None) -> list[int]:
+    """Coefficients 0..n of the sum of a*b over the pairs (a, b), reduced
+    mod modulus, or exact when it is None.
 
-    Kronecker substitution: both operands are packed into one Python int
-    each, as fixed-width little-endian limbs wide enough to hold any
-    coefficient of the product, multiplied once and unpacked.  Over Z the
-    product is taken mod an odd m exceeding twice the largest possible
-    coefficient and lifted back to the centred range.
+    Kronecker substitution: every operand is packed into one Python int, as
+    fixed-width little-endian limbs wide enough to hold any coefficient of
+    the sum; the packed products are added and the sum is unpacked once.
+    Over Z the sum is taken mod an odd m exceeding twice the largest
+    possible coefficient and lifted back to the centred range.
     """
-    a, b = a[: n + 1], b[: n + 1]
+    pairs = [(a[: n + 1], b[: n + 1]) for a, b in pairs]
     m = modulus
     if m is None:
         # max with 1 keeps m above twice every input, even beside a zero operand
-        m = 2 * (n + 1) * max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) + 1
-    width = max(1, ((min(len(a), len(b)) * (m - 1) ** 2).bit_length() + 7) // 8)
-    product = _pack(a, m, width) * _pack(b, m, width)
+        m = 2 * (n + 1) * sum(max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) for a, b in pairs) + 1
+    terms = sum(min(len(a), len(b)) for a, b in pairs)
+    width = max(1, ((terms * (m - 1) ** 2).bit_length() + 7) // 8)
+    total = sum(_pack(a, m, width) * _pack(b, m, width) for a, b in pairs)
     size = width * (n + 1)
-    out = _unpack((product & ((1 << 8 * size) - 1)).to_bytes(size, "little"), m, width)
+    out = _unpack((total & ((1 << 8 * size) - 1)).to_bytes(size, "little"), m, width)
     if modulus is None:
         half = m // 2
         out = [c - m if c > half else c for c in out]
@@ -279,20 +284,45 @@ def _unpack(raw: bytes, m: int, width: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
 
 
-def _inverse(a: list[int], inv0: int, modulus: int | None) -> list[int]:
-    """Inverse of a through q**(len(a)-1), given the inverse inv0 of a[0].
+def _inverse(times_a, inv0: int, n: int, modulus: int | None) -> list[int]:
+    """Coefficients 0..n-1 of the inverse of a series a, given the inverse
+    inv0 of a[0] and times_a(g, k), the coefficients 0..k-1 of a*g for a
+    list g of fewer than k coefficients.
 
     Newton iteration g <- g(2 - a*g): if a*g = 1 + q^k*e then the next k
     coefficients of the inverse are those of -g*e, so each step doubles
-    the known prefix at the price of two products.
+    the known prefix at the price of the product a*g, which times_a forms
+    as a dense multiply or by sparse passes, and one dense product g*e.
     """
     g = [inv0]
-    while len(g) < len(a):
+    while len(g) < n:
         k = len(g)
-        k2 = min(2 * k, len(a))
-        e = _mul(a[:k2], g, k2 - 1, modulus)[k:]
-        g += _mul(g, [-c for c in e], k2 - k - 1, modulus)
+        k2 = min(2 * k, n)
+        e = times_a(g, k2)[k:k2]
+        g += _mul([(g, [-c for c in e])], k2 - k - 1, modulus)
     return g
+
+
+def _mul_progression(
+    a: list[int], b: list[int], s: int, period: int, modulus: int | None
+) -> list[int]:
+    """Coefficients s, s + period, s + 2*period, ... below len(a) of a*b,
+    for 0 <= s < period and b at least as long as a.
+
+    Coefficient s + period*t sums a[sigma + period*i] * b[s - sigma + period*(t - i)]
+    over sigma = 0..period-1 and i, so it is the sum over sigma of coefficient
+    t of the product of the pieces a[sigma::period] and b[s - sigma::period],
+    where a start s - sigma below zero reads one zero first.  Each product
+    stops at the last coefficient read; period 1 is the single product a*b.
+    """
+    reads = len(range(s, len(a), period))
+    if not reads:
+        return []
+    pieces = [
+        (a[sigma::period], b[s - sigma :: period] if sigma <= s else [0] + b[s - sigma + period :: period])
+        for sigma in range(min(period, len(a)))
+    ]
+    return _mul(pieces, reads - 1, modulus)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -303,7 +333,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """
     ring = _common_ring(a, b)
     n = min(a.order, b.order)
-    return TruncatedSeries(ring, tuple(_mul(list(a.coeffs), list(b.coeffs), n, ring.modulus)))
+    return TruncatedSeries(ring, tuple(_mul([(list(a.coeffs), list(b.coeffs))], n, ring.modulus)))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -312,9 +342,10 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     Needs a unit constant term; the error reports the offending gcd.  The
     cost is a constant number of products at the full order.
     """
-    ring = a.ring
-    inv0 = ring.unit_inverse(a.coeffs[0])
-    return TruncatedSeries(ring, tuple(_inverse(list(a.coeffs), inv0, ring.modulus)))
+    ring, coeffs, u = a.ring, list(a.coeffs), a.ring.modulus
+    inv0 = ring.unit_inverse(coeffs[0])
+    g = _inverse(lambda head, k: _mul([(coeffs[:k], head)], k - 1, u), inv0, len(coeffs), u)
+    return TruncatedSeries(ring, tuple(g))
 
 
 def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -366,13 +397,17 @@ def eta_quotient(
     The defaults step=1, offset=0 give the whole expansion.  A positive
     exponent r on (q^d; q^d) costs r // 3 weighted passes over the Jacobi
     support of (q^d; q^d)**3 plus r % 3 passes over the pentagonal support,
-    each costing order times about sqrt(order/d).  For a negative exponent,
-    (q; q)**|r| is built by the same passes at order // d and inverted once by
-    Newton iteration.  The dilated inverse touches only exponents divisible
-    by d, so each residue class of the exponent mod d is multiplied by the
-    undilated inverse on its own.  The last negative factor multiplies only
-    the classes rho with rho = offset (mod gcd(step, d)): the others never
-    reach the progression.
+    each costing order times about sqrt(order/d).  A negative exponent -r
+    costs one inverse of (q; q)**r at order // d by Newton iteration, whose
+    product a*g at each doubling is r // 3 + r % 3 such passes over g.  The
+    dilated inverse touches only exponents divisible by d, so each residue
+    class of the exponent mod d is multiplied by the undilated inverse on its
+    own.  The last negative factor computes only what the progression reads.
+    With g = gcd(step, d) and period = step // g, the class of rho holds the
+    exponents rho + d*j; it is read iff rho = offset (mod g), and then only
+    at j = s (mod period), where s = ((offset - rho) / g) * (d / g)**-1 mod
+    period.  Those coefficients cost one sum of period products of pieces
+    that take every period-th coefficient (_mul_progression).
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
@@ -389,11 +424,17 @@ def eta_quotient(
             out = _euler_power(out, d, r, u)
     negative = [(d, -r) for d, r in spec.nonzero() if r < 0]
     for d, r in negative:
-        inv = _inverse(_euler_power([1] + [0] * (order // d), 1, r, u), 1, u)
-        classes = gcd(step, d) if d == negative[-1][0] else 1
-        for rho in range(offset % classes, min(d, order + 1), classes):
-            cls = out[rho::d]
-            out[rho::d] = _mul(cls, inv, len(cls) - 1, u)
+        inv = _inverse(
+            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u), 1, order // d + 1, u
+        )
+        # only the last factor's outputs are final, so only it may skip some:
+        # out[rho + d*j] is read iff rho = offset (mod g) and j = s (mod period)
+        stride, start = (step, offset) if d == negative[-1][0] else (1, 0)
+        g = gcd(stride, d)
+        period = stride // g
+        for rho in range(start % g, min(d, order + 1), g):
+            s = (start - rho) // g * pow(d // g, -1, period) % period
+            out[rho + d * s :: d * period] = _mul_progression(out[rho::d], inv, s, period, u)
     return TruncatedSeries(ring, tuple(out[offset::step]))
 
 

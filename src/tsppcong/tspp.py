@@ -21,6 +21,7 @@ from .series import (
     CoefficientRing,
     EtaQuotientSpec,
     TruncatedSeries,
+    _is_int,
     array_dtype,
     eta_quotient,
 )
@@ -35,7 +36,8 @@ class CongruenceClaim:
     """The assertion f(step*n + offset) = 0 (mod modulus) for all n >= 0.
 
     sequence must be "f", the shell partition counts; reduce_claim rewrites
-    such a claim into SliceClaims about the slice variant.
+    such a claim into SliceClaims about the slice variant.  The step, offset
+    and modulus must be ints other than bools; nothing is coerced.
     """
 
     sequence: str
@@ -46,6 +48,9 @@ class CongruenceClaim:
     def __post_init__(self):
         if self.sequence != "f":
             raise ValueError(f"unknown sequence {self.sequence!r}: a claim's sequence must be 'f'")
+        bad = [x for x in (self.step, self.offset, self.modulus) if not _is_int(x)]
+        if bad:
+            raise ValueError(f"every step, offset and modulus must be an integer, got {bad[0]!r}")
         if self.step < 1:
             raise ValueError(f"step must be positive, got {self.step}")
         if not 0 <= self.offset < self.step:

@@ -352,6 +352,54 @@ def test_eta_quotient_progression_is_a_slice_of_the_full_expansion(spec, order, 
     assert tc.eta_quotient(spec, order, ring, step, offset).coeffs == full[offset::step]
 
 
+# (r, n) pairs for the Newton loop: each r meets every power of two up to
+# 256 at one of n + 1 = 2**k - 1, 2**k, 2**k + 1 in turn, so that the last
+# doubling ends one short of the order, on it or one past it; a few r also
+# meet all three at 512, and the order 600
+NEWTON_CASES = [(r, 0) for r in range(1, 31)]
+NEWTON_CASES += [(r, 2**k - 2 + (r + k) % 3) for r in range(1, 31) for k in range(1, 9)]
+NEWTON_CASES += [(r, n) for r in (1, 2, 3, 4, 29, 30) for n in (510, 511, 512, 600)]
+
+
+@pytest.mark.parametrize("u", [None] + MODULI + [HUGE_MODULUS])
+def test_sparse_residual_newton_matches_dense_inverse(u):
+    # eta_quotient inverts (q;q)**r through the sparse passes; invert runs
+    # the same Newton loop on the dense product.  Mod 5 and 25 some Jacobi
+    # weights vanish and are dropped, and HUGE_MODULUS runs in object arrays.
+    ring = tc.INTEGERS if u is None else tc.residues_mod(u)
+    for r, n in NEWTON_CASES:
+        dense = tc.invert(tc.power(tc.pentagonal_series(1, n, ring), r))
+        assert tc.eta_quotient(tc.EtaQuotientSpec(1, {1: -r}), n, ring) == dense, (r, n)
+
+
+@pytest.mark.parametrize(
+    "spec,order,step,offset,moduli",
+    [
+        # the shipped shapes, scaled down: period 25 over one class of d = 11
+        # and over one class of d = 5
+        (tc.slice_variant_spec(1, 11), 6_000, 275, 229, (11, 121)),
+        (tc.slice_variant_spec(3, 5), 3_000, 125, 104, (125, 25)),
+        # d does not divide the step and 1 < gcd(step, d) < d
+        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), 900, 9, 4, (5, HUGE_MODULUS)),
+        (tc.EtaQuotientSpec(12, {1: 1, 2: -1, 4: -2}), 900, 10, 7, (4, 121)),
+        (tc.EtaQuotientSpec(10, {1: 4, 10: -1}), 900, 35, 12, (11,)),
+        # gcd(step, d) = 1: every class is read, each at period step
+        (tc.EtaQuotientSpec(7, {1: 1, 7: -2}), 500, 4, 3, (25,)),
+        # fewer coefficients in the class than the period, and (last) a class
+        # of the progression whose first read lies past the order
+        (tc.slice_variant_spec(1, 11), 120, 275, 104, (11,)),
+        (tc.slice_variant_spec(1, 11), 250, 275, 229, (11,)),
+        (tc.EtaQuotientSpec(6, {1: 1, 6: -1}), 5, 9, 4, (7,)),
+    ],
+)
+def test_eta_quotient_progression_with_a_period(spec, order, step, offset, moduli):
+    for u in (None, *moduli):
+        ring = tc.INTEGERS if u is None else tc.residues_mod(u)
+        full = tc.eta_quotient(spec, order, ring).coeffs
+        got = tc.eta_quotient(spec, order, ring, step, offset).coeffs
+        assert got == full[offset::step], u
+
+
 def test_eta_quotient_rejects_bad_progressions():
     spec = tc.EtaQuotientSpec(2, {1: -2, 2: 3})
     for step, offset in ((0, 0), (3, 3), (3, -1)):

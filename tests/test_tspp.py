@@ -1,7 +1,9 @@
 """Counting series, slice series and claim reduction."""
 
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 import oracles
@@ -116,6 +118,16 @@ def test_claim_validation():
     assert fields == ["sequence", "step", "offset", "modulus"]
     assert tc.CongruenceClaim("f", 1250, 125, 125).describe() == "f(1250n+125) = 0 (mod 125)"
     assert tc.SliceClaim(625, 229, 3, 5).modulus == 125
+
+
+def test_claim_field_types():
+    # a step, offset or modulus that is not an int would reach the
+    # verifier's levels and the residue rings
+    for bad in (5.0, True, "5", np.int64(5)):
+        for fields in ((bad, 0, 7), (10, bad, 7), (10, 0, bad)):
+            with pytest.raises(ValueError, match="must be an integer, got " + re.escape(repr(bad))):
+                tc.CongruenceClaim("f", *fields)
+    assert tc.CongruenceClaim("f", 10, 5, 5).modulus == 5
 
 
 def test_claim_containment():
