@@ -9,7 +9,6 @@ from .series import (
     RingMismatchError,
     TruncatedSeries,
     eta_quotient,
-    extract_progression,
     invert,
     mul,
     pentagonal_series,
@@ -64,7 +63,6 @@ from .documents import (
     InstanceDocument,
     canonical_json,
     certificate_to_doc,
-    dump_instance,
     load_instance,
     parse_instance,
     report_to_doc,

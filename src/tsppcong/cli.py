@@ -50,6 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_series(args):
+    if args.seq != "gap" and (args.alpha is not None or args.p is not None):
+        raise ValueError("--alpha and --p apply only to --seq gap")
+    if args.seq != "eta" and args.spec is not None:
+        raise ValueError("--spec applies only to --seq eta")
     ring = INTEGERS if args.mod is None else residues_mod(args.mod)
     if args.seq == "f":
         return tspp.tspp_series(args.order, ring)

@@ -200,20 +200,6 @@ def _divisor_map_doc(spec: EtaQuotientSpec) -> dict:
     return {str(d): e for d, e in spec.exponents}
 
 
-def instance_to_doc(doc: InstanceDocument) -> dict:
-    return {
-        "claim": claim_to_doc(doc.claim),
-        "hints": {
-            "N": doc.hints.group_level,
-            "r_prime": _divisor_map_doc(doc.hints.r_prime),
-        },
-    }
-
-
-def dump_instance(doc: InstanceDocument) -> str:
-    return canonical_json(instance_to_doc(doc))
-
-
 def certificate_to_doc(cert: Certificate) -> dict:
     inst = cert.instance
     return {

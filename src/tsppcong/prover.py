@@ -186,8 +186,8 @@ def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport
         checked += 1
         residue = counts[idx] % u
         if residue:
-            return CheckReport(name, checked, False, idx, f"coefficient {idx} is {residue} (mod {u})")
-    return CheckReport(name, checked, True, None, f"indices <= {counts.order}")
+            return CheckReport(name, checked, idx, f"coefficient {idx} is {residue} (mod {u})")
+    return CheckReport(name, checked, None, f"indices <= {counts.order}")
 
 
 # ---------------------------------------------------------------------------

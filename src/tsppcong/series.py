@@ -76,9 +76,6 @@ class CoefficientRing:
         if m is not None and not (_is_int(m) and m >= 2):
             raise ValueError(f"modulus must be an integer of at least 2, got {m!r}")
 
-    def normalize(self, value: int) -> int:
-        return value if self.modulus is None else value % self.modulus
-
     def unit_inverse(self, value: int) -> int:
         """Multiplicative inverse of a unit, or NonUnitConstantError."""
         if self.modulus is None:
@@ -112,7 +109,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("a truncated series carries at least the q^0 coefficient")
         u = self.ring.modulus
-        if u is not None and any(c < 0 or c >= u for c in coeffs):
+        if u is not None and (min(coeffs) < 0 or max(coeffs) >= u):
             coeffs = tuple(c % u for c in coeffs)
         if coeffs is not self.coeffs:
             object.__setattr__(self, "coeffs", coeffs)
@@ -132,12 +129,6 @@ class TruncatedSeries:
         if m is not None and m % u != 0:
             raise ValueError(f"coefficients over {self.ring!r} do not determine residues mod {u}")
         return TruncatedSeries(residues_mod(u), self.coeffs)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __pow__(self, e: int):
-        return power(self, e)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -180,9 +171,6 @@ class EtaQuotientSpec:
         full = tuple((d, given.get(d, 0)) for d in divs)
         object.__setattr__(self, "exponents", full)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
     def nonzero(self) -> list[tuple[int, int]]:
         return [(d, e) for d, e in self.exponents if e]
 
@@ -220,7 +208,7 @@ def pentagonal_series(delta: int, order: int, ring: CoefficientRing = INTEGERS) 
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs = [0] * (order + 1)
     for e, sign in pentagonal_terms(delta, order):
-        coeffs[e] = ring.normalize(sign)
+        coeffs[e] = sign
     return TruncatedSeries(ring, tuple(coeffs))
 
 
@@ -228,10 +216,6 @@ def _common_ring(a: TruncatedSeries, b: TruncatedSeries) -> CoefficientRing:
     if a.ring != b.ring:
         raise RingMismatchError(f"cannot combine {a.ring!r} with {b.ring!r}")
     return a.ring
-
-
-def _one(ring: CoefficientRing, order: int) -> TruncatedSeries:
-    return TruncatedSeries(ring, (1,) + (0,) * order)
 
 
 def _mul(pairs: list[tuple[list[int], list[int]]], n: int, modulus: int | None) -> list[int]:
@@ -354,7 +338,7 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
     Binary powering, about 2*log2|e| products; negative exponents invert
     first (unit constant term required).
     """
-    result = _one(a.ring, a.order)
+    result = TruncatedSeries(a.ring, (1,) + (0,) * a.order)
     base = invert(a) if e < 0 else a
     e = abs(e)
     while e:
@@ -364,19 +348,6 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
         if e:
             base = mul(base, base)
     return result
-
-
-def extract_progression(a: TruncatedSeries, m: int, t: int) -> TruncatedSeries:
-    """The series whose n-th coefficient is a(m*n + t)."""
-    if m < 1:
-        raise ValueError(f"progression step must be positive, got {m}")
-    if not 0 <= t < m:
-        raise ValueError(f"offset {t} outside [0, {m})")
-    if t > a.order:
-        raise ValueError(
-            f"offset {t} is beyond the truncation order {a.order}: nothing to extract"
-        )
-    return TruncatedSeries(a.ring, a.coeffs[t :: m])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +389,7 @@ def eta_quotient(
     if offset > order:
         raise ValueError(f"offset {offset} is beyond the truncation order {order}")
     u = ring.modulus
-    out = [ring.normalize(1)] + [0] * order
+    out = [1] + [0] * order
     for d, r in spec.nonzero():
         if r > 0:
             out = _euler_power(out, d, r, u)

@@ -93,20 +93,27 @@ class ReductionStep:
     residue_class: int
     step: int
     offset: int
-    outcome: str
     reason: str
     g_claim: SliceClaim | None = None
+
+    @property
+    def outcome(self) -> str:
+        return "trivially-zero" if self.g_claim is None else "verify"
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a bulk coefficient check."""
+    """Outcome of a bulk coefficient check; it passed when no index
+    violated it."""
 
     name: str
     checked: int
-    passed: bool
     first_violation: int | None = None
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.first_violation is None
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +202,8 @@ def check_support(order: int) -> CheckReport:
             continue
         checked += 1
         if f[n] != 0:
-            return CheckReport(
-                "support", checked, False, n, f"count at index {n} is {f[n]}, expected 0"
-            )
-    return CheckReport("support", checked, True, None, f"indices 1..{order}")
+            return CheckReport("support", checked, n, f"count at index {n} is {f[n]}, expected 0")
+    return CheckReport("support", checked, None, f"indices 1..{order}")
 
 
 def check_slice_identity(order: int) -> CheckReport:
@@ -214,11 +219,10 @@ def check_slice_identity(order: int) -> CheckReport:
                 return CheckReport(
                     "slice-identity",
                     checked,
-                    False,
                     6 * n + 1,
                     f"count({6 * n + 1}) = {f[6 * n + 1]} but slice({n}) = {g[n]}",
                 )
-    return CheckReport("slice-identity", checked, True, None, f"n <= {top}")
+    return CheckReport("slice-identity", checked, None, f"n <= {top}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +248,7 @@ def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
         b = claim.step * r3 + claim.offset
         if b % 3 != 1:
             steps.append(
-                ReductionStep(
-                    r3,
-                    big_step,
-                    b,
-                    "trivially-zero",
-                    f"indices are {b % 3} (mod 3), where the count vanishes",
-                )
+                ReductionStep(r3, big_step, b, f"indices are {b % 3} (mod 3), where the count vanishes")
             )
             continue
         if b % 6 != 1:
@@ -263,15 +261,13 @@ def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
             )
         m = big_step // 6
         t = (b - 1) // 6
-        g_claim = SliceClaim(m, t, alpha, p)
         steps.append(
             ReductionStep(
                 r3,
                 big_step,
                 b,
-                "verify",
                 f"indices are 6({m}k+{t})+1, matching the slice identity",
-                g_claim,
+                SliceClaim(m, t, alpha, p),
             )
         )
     return tuple(steps)

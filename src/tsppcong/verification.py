@@ -25,7 +25,7 @@ from math import floor, gcd
 from typing import NamedTuple
 
 from .arith import divisors, prime_factors
-from .series import EtaQuotientSpec, eta_quotient, residues_mod
+from .series import EtaQuotientSpec, _is_int, eta_quotient, residues_mod
 
 
 class UnsupportedInstanceError(ValueError):
@@ -55,6 +55,8 @@ class VerificationInstance:
     r        eta-quotient exponent vector; its level is M.
     r_prime  auxiliary exponent vector; its level is the group level N.
     u        modulus of the congruence.
+
+    m, t and u must be ints other than bools; nothing is coerced.
     """
 
     m: int
@@ -64,6 +66,9 @@ class VerificationInstance:
     u: int
 
     def __post_init__(self):
+        bad = [x for x in (self.m, self.t, self.u) if not _is_int(x)]
+        if bad:
+            raise ValueError(f"every m, t and u must be an integer, got {bad[0]!r}")
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
         if not 0 <= self.t < self.m:
@@ -109,7 +114,10 @@ class ConditionCheck:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     conditions: tuple[ConditionCheck, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.conditions)
 
     def failing(self) -> list[str]:
         return [c.name for c in self.conditions if not c.passed]
@@ -125,14 +133,20 @@ class CuspEntry:
     rep: CosetRep
     eta_order: Fraction
     aux_order: Fraction
-    total: Fraction
     lam: int
+
+    @property
+    def total(self) -> Fraction:
+        return self.eta_order + self.aux_order
 
 
 class VerificationBound(NamedTuple):
     v: Fraction
-    v_floor: int
     orbit: tuple[int, ...]
+
+    @property
+    def v_floor(self) -> int:
+        return floor(self.v)
 
     @property
     def t_min(self) -> int:
@@ -143,27 +157,51 @@ class VerificationBound(NamedTuple):
 class ProgressionCheck:
     t_prime: int
     indices: tuple[int, ...]
-    all_zero: bool
     first_violation: int | None
+
+    @property
+    def all_zero(self) -> bool:
+        return self.first_violation is None
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Full transcript of one verification run."""
+    """Full transcript of one verification run.
+
+    The fields are what the run computed; kappa, t_min, group_index,
+    bound_floor and verdict are properties read off them: kappa(m),
+    orbit[0], index_gamma0(N), floor(bound), and "VERIFIED" exactly when
+    failure is None.
+    """
 
     instance: VerificationInstance
-    kappa: int
     orbit: tuple[int, ...]
-    t_min: int
     admissibility: AdmissibilityReport
-    group_index: int
     cusps: tuple[CuspEntry, ...]
     bound: Fraction
-    bound_floor: int
     expansion_order: int | None
     checked: tuple[ProgressionCheck, ...]
-    verdict: str
     failure: str | None
+
+    @property
+    def kappa(self) -> int:
+        return kappa(self.instance.m)
+
+    @property
+    def t_min(self) -> int:
+        return self.orbit[0]
+
+    @property
+    def group_index(self) -> int:
+        return index_gamma0(self.instance.N)
+
+    @property
+    def bound_floor(self) -> int:
+        return floor(self.bound)
+
+    @property
+    def verdict(self) -> str:
+        return "VERIFIED" if self.failure is None else "FAILED"
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +378,7 @@ def admissibility_check(instance: VerificationInstance) -> AdmissibilityReport:
         )
     )
 
-    return AdmissibilityReport(tuple(conditions), all(c.passed for c in conditions))
+    return AdmissibilityReport(tuple(conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +403,7 @@ def verification_bound(instance: VerificationInstance) -> VerificationBound:
         - Fraction(instance.r.weighted_exponent_sum(), 24 * instance.m)
         - Fraction(members[0], instance.m)
     )
-    return VerificationBound(v, floor(v), members)
+    return VerificationBound(v, members)
 
 
 @lru_cache(maxsize=6)
@@ -400,7 +438,7 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     for rep in coset_reps(instance.N):
         eta_ord, lam = cusp_order_bound(rep, instance.m, instance.r, kap)
         aux = aux_cusp_order(rep, instance.r_prime)
-        cusps.append(CuspEntry(rep, eta_ord, aux, eta_ord + aux, lam))
+        cusps.append(CuspEntry(rep, eta_ord, aux, lam))
     bound = verification_bound(instance)
     members = bound.orbit
 
@@ -428,7 +466,7 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
         for t_prime in members:
             indices = tuple(instance.m * n + t_prime for n in ns)
             violation = next((i for i in indices if series[(i - offset) // step]), None)
-            checked.append(ProgressionCheck(t_prime, indices, violation is None, violation))
+            checked.append(ProgressionCheck(t_prime, indices, violation))
             if violation is not None and failure is None:
                 failure = (
                     f"coefficient at index {violation} is "
@@ -437,16 +475,11 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
 
     return Certificate(
         instance=instance,
-        kappa=kap,
         orbit=members,
-        t_min=bound.t_min,
         admissibility=report,
-        group_index=index_gamma0(instance.N),
         cusps=tuple(cusps),
         bound=bound.v,
-        bound_floor=bound.v_floor,
         expansion_order=expansion_order,
         checked=tuple(checked),
-        verdict="VERIFIED" if failure is None else "FAILED",
         failure=failure,
     )

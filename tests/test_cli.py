@@ -122,6 +122,16 @@ def test_expand_usage_errors(capsys, tmp_path):
         main(["expand", "--seq", "nope", "--order", "3"])
     assert info.value.code == 2
     capsys.readouterr()
+    # a flag the chosen sequence would ignore is refused
+    for args, message in (
+        (["--seq", "f", "--order", "5", "--alpha", "3"], "--alpha and --p apply only to --seq gap"),
+        (["--seq", "eta", "--order", "5", "--p", "5"], "--alpha and --p apply only to --seq gap"),
+        (["--seq", "g", "--order", "3", "--spec", "nofile.json"], "--spec applies only to --seq eta"),
+        (["--seq", "gap", "--order", "3", "--alpha", "1", "--p", "5", "--spec", "nofile.json"],
+         "--spec applies only to --seq eta"),
+    ):
+        assert main(["expand", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert main(["expand", "--seq", "gap", "--order", "3"]) == 2
     assert main(["expand", "--seq", "eta", "--order", "3"]) == 2
     assert main(["expand", "--seq", "f", "--order", "-1"]) == 2

@@ -208,44 +208,6 @@ def test_power_ring_homomorphism(a, e, u):
 
 
 # ---------------------------------------------------------------------------
-# progression extraction
-# ---------------------------------------------------------------------------
-
-
-def test_extract_progression_examples():
-    a = exact([1, 2, 5, 10, 20, 36])
-    assert tc.extract_progression(a, 1, 0) == a
-    assert tc.extract_progression(a, 2, 1).coeffs == (2, 10, 36)
-    f = exact([0, 1, 0, 0, 1, 0, 0, 2])
-    assert tc.extract_progression(f, 3, 1).coeffs == (1, 1, 2)
-
-
-def test_extract_progression_bounds():
-    a = exact([1, 2, 3])
-    assert tc.extract_progression(a, 5, 2).coeffs == (3,)
-    with pytest.raises(ValueError):
-        tc.extract_progression(a, 2, 3)  # offset outside [0, m)
-    with pytest.raises(ValueError):
-        tc.extract_progression(exact([1]), 3, 2)  # beyond truncation order
-
-
-@given(a=coeff_lists, m=st.integers(1, 7), t=st.integers(0, 6))
-@settings(deadline=None)
-def test_extract_progression_indexing(a, m, t):
-    series = exact(a)
-    if t >= m:
-        return
-    if t > series.order:
-        with pytest.raises(ValueError):
-            tc.extract_progression(series, m, t)
-        return
-    picked = tc.extract_progression(series, m, t)
-    assert picked.order == (series.order - t) // m
-    for n in range(picked.order + 1):
-        assert picked[n] == series[m * n + t]
-
-
-# ---------------------------------------------------------------------------
 # eta quotients
 # ---------------------------------------------------------------------------
 
@@ -518,5 +480,3 @@ def test_coefficient_ring_validation():
     for bad in (5.0, True, "5", np.int64(5)):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             tc.residues_mod(bad)
-    assert tc.residues_mod(7).normalize(-1) == 6
-    assert tc.INTEGERS.normalize(-1) == -1

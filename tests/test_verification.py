@@ -319,7 +319,7 @@ def test_verify_tiny_partition_instance(tiny_instance):
     assert cert.bound == 0 and cert.bound_floor == 0
     assert cert.expansion_order == 4
     assert cert.checked == (
-        tc.verification.ProgressionCheck(4, (4,), True, None),
+        tc.verification.ProgressionCheck(4, (4,), None),
     )
     assert_no_floats(cert)
 
@@ -366,8 +366,8 @@ def test_verify_negative_bound_reads_no_coefficient():
     assert cert.bound == Fraction(-1, 5) and cert.bound_floor == -1
     assert cert.expansion_order is None
     assert cert.checked == (
-        tc.verification.ProgressionCheck(1, (), True, None),
-        tc.verification.ProgressionCheck(4, (), True, None),
+        tc.verification.ProgressionCheck(1, (), None),
+        tc.verification.ProgressionCheck(4, (), None),
     )
     assert tc.verification._expansion.cache_info() == lookups  # no expansion asked for
     assert '"expansion_order": null' in canonical_json(certificate_to_doc(cert))
@@ -445,6 +445,12 @@ def test_instance_validation():
         tc.VerificationInstance(m=625, t=625, r=spec, r_prime=aux, u=125)
     with pytest.raises(ValueError):
         tc.VerificationInstance(m=625, t=229, r=spec, r_prime=aux, u=1)
+    # a float would fail deep inside range or the expansion, and t=True
+    # would run as t = 1 and be written into the certificate as true
+    for name, bad in (("m", 625.0), ("t", 229.0), ("t", True), ("u", 125.0)):
+        given = {"m": 625, "t": 229, "u": 125, name: bad}
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+            tc.VerificationInstance(r=spec, r_prime=aux, **given)
 
 
 def test_certificate_is_reproducible_byte_for_byte(tiny_instance):
