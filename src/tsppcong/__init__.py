@@ -49,7 +49,6 @@ from .verification import (
     verify_instance,
 )
 from .prover import (
-    AssumedCongruence,
     ProofReport,
     SuiteReport,
     combine_congruences,
@@ -65,6 +64,7 @@ from .documents import (
     certificate_to_doc,
     load_instance,
     parse_instance,
+    published_instances,
     report_to_doc,
     shipped_instance,
     shipped_instances,

@@ -21,7 +21,7 @@ from .tspp import CheckReport, CongruenceClaim, ReductionStep
 from .verification import Certificate, InstanceHints
 
 if TYPE_CHECKING:  # prover imports this module
-    from .prover import AssumedCongruence, ProofReport
+    from .prover import ProofReport
 
 
 class DocumentError(ValueError):
@@ -146,11 +146,11 @@ def load_eta_spec(path) -> EtaQuotientSpec:
     return _parse_divisor_map(doc["r"], _get_int(doc, "M", where), f"{where}.r")
 
 
-def _shipped() -> dict[str, InstanceDocument]:
-    """Every instance file in the package's data directory, by name, in
+def _shipped(folder: str = "data") -> dict[str, InstanceDocument]:
+    """Every instance file in one directory of the package, by name, in
     claim order (A, B, u)."""
     docs = {}
-    for entry in (resources.files("tsppcong") / "data").iterdir():
+    for entry in (resources.files("tsppcong") / folder).iterdir():
         if entry.name.endswith(".json"):
             name = entry.name.removesuffix(".json")
             docs[name] = parse_instance(_read_text(entry, name), source=name)
@@ -163,8 +163,14 @@ def _shipped() -> dict[str, InstanceDocument]:
 
 
 def shipped_instances() -> tuple[InstanceDocument, ...]:
-    """The instance documents distributed with the package."""
+    """The instance documents distributed with the package, in data/."""
     return tuple(_shipped().values())
+
+
+def published_instances() -> tuple[InstanceDocument, ...]:
+    """The published congruences that combined moduli rest on.  They live
+    in data/published, apart from the shipped instances in data/."""
+    return tuple(_shipped("data/published").values())
 
 
 def shipped_instance(name: str) -> InstanceDocument:
@@ -264,14 +270,6 @@ def _reduction_to_doc(step: ReductionStep) -> dict:
     }
 
 
-def _assumed_to_doc(assumed: AssumedCongruence) -> dict:
-    return {
-        "claim": claim_to_doc(assumed.claim),
-        "note": assumed.note,
-        "checked_to": assumed.checked_to,
-    }
-
-
 def _check_to_doc(report: CheckReport) -> dict:
     return {
         "name": report.name,
@@ -289,7 +287,7 @@ def report_to_doc(report: ProofReport, oracle: CheckReport | None = None) -> dic
         "verdict": report.verdict,
         "detail": report.detail,
         "reduction": [_reduction_to_doc(s) for s in report.reduction],
-        "assumed": [_assumed_to_doc(a) for a in report.assumed],
+        "assumed": [],  # nothing is assumed; the field goes with the next format version
         "certificates": [certificate_to_doc(c) for c in report.certificates],
     }
     if oracle is not None:

@@ -1,17 +1,18 @@
 """End-to-end proofs: reduce a counting-sequence claim, verify the resulting
-slice-variant claims, combine moduli, and cross-check everything against the
-brute-force counting series.
+slice-variant claims, combine proved moduli, and cross-check everything
+against the brute-force counting series.
 
 The verifier needs two inputs that no algorithm here chooses for you: the
 group level N and the auxiliary exponent vector r'.  They ship as data files
 next to the claims they belong to (see the data directory) and enter through
-InstanceHints.
+InstanceHints.  The published congruences that the combined moduli rest on
+are proved the same way, from the files in data/published.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from . import documents, tspp
@@ -31,7 +32,6 @@ from .tspp import (
 from .verification import Certificate, InstanceHints, VerificationInstance, verify_instance
 
 PROVED = "PROVED"
-PROVED_MODULO_CITATIONS = "PROVED-MODULO-CITATIONS"
 FAILED = "FAILED"
 NOT_REDUCIBLE = "NOT-REDUCIBLE"
 
@@ -40,24 +40,10 @@ ORACLE_MAX = 50_000
 
 
 @dataclass(frozen=True)
-class AssumedCongruence:
-    """A congruence taken from the literature, used without reproof.
-
-    checked_to records how far the claim was tested against the counting
-    oracle; it is metadata, not evidence of proof.
-    """
-
-    claim: CongruenceClaim
-    note: str
-    checked_to: int
-
-
-@dataclass(frozen=True)
 class ProofReport:
     claim: CongruenceClaim
     reduction: tuple[ReductionStep, ...]
     certificates: tuple[Certificate, ...]
-    assumed: tuple[AssumedCongruence, ...]
     verdict: str
     detail: str | None = None
 
@@ -65,8 +51,9 @@ class ProofReport:
 def known_congruences() -> tuple[CongruenceClaim, ...]:
     """Previously published congruences for the counting sequence.
 
-    These are regression-tested empirically and may be cited in modulus
-    combinations, but they are never proved here.
+    Each is tested against the counting oracle in regress.  The mod-5 and
+    mod-25 ones are also proved from data/published; the mod-4 one reduces
+    to an even step, which the verifier refuses.
     """
     return (
         CongruenceClaim("f", 10, 5, 5),
@@ -95,7 +82,7 @@ def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> Proof
     try:
         steps = reduce_claim(claim)
     except NotReducibleError as exc:
-        return ProofReport(claim, (), (), (), NOT_REDUCIBLE, str(exc))
+        return ProofReport(claim, (), (), NOT_REDUCIBLE, str(exc))
     certificates = []
     failures = []
     for step in steps:
@@ -112,59 +99,34 @@ def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> Proof
         claim,
         steps,
         tuple(certificates),
-        (),
         verdict,
         "; ".join(failures) if failures else None,
     )
 
 
-def combine_congruences(
-    reports: Sequence[ProofReport], cited: Sequence[AssumedCongruence] = ()
-) -> ProofReport:
-    """Chinese-remainder combination of congruences on one progression.
+def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
+    """Chinese-remainder combination of proved congruences on one progression.
 
-    All proved inputs must concern the same (step, offset); cited inputs must
-    contain that progression, i.e. their step divides the target step and the
-    offsets agree modulo it.  Moduli must be pairwise coprime.  Any cited
-    input downgrades the verdict to PROVED-MODULO-CITATIONS.
+    The target is the first report's progression; every report's claim must
+    contain it, and the moduli must be pairwise coprime.
     """
     if not reports:
         raise ValueError("need at least one proved report to combine")
     target = reports[0].claim
-    moduli: list[int] = []
+    moduli = [rep.claim.modulus for rep in reports]
     for rep in reports:
-        if rep.verdict not in (PROVED, PROVED_MODULO_CITATIONS):
+        if rep.verdict != PROVED:
             raise ValueError(f"cannot combine a report with verdict {rep.verdict}")
-        if (rep.claim.step, rep.claim.offset) != (target.step, target.offset):
-            raise ValueError(
-                f"progression mismatch: {rep.claim.describe()} vs {target.describe()}"
-            )
-        moduli.append(rep.claim.modulus)
-    for assumed in cited:
-        c = assumed.claim
-        if not c.contains(target):
-            raise ValueError(
-                f"cited progression {c.describe()} does not contain {target.describe()}"
-            )
-        moduli.append(c.modulus)
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if gcd(moduli[i], moduli[j]) != 1:
-                raise ValueError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime"
-                )
-    product = 1
-    for u in moduli:
-        product *= u
-    assumed_all = tuple(a for rep in reports for a in rep.assumed) + tuple(cited)
-    verdict = PROVED if not assumed_all else PROVED_MODULO_CITATIONS
-    combined = CongruenceClaim("f", target.step, target.offset, product)
+        if not rep.claim.contains(target):
+            raise ValueError(f"{rep.claim.describe()} does not contain {target.describe()}")
+    if lcm(*moduli) != prod(moduli):
+        raise ValueError(f"moduli {moduli} are not pairwise coprime")
+    combined = CongruenceClaim("f", target.step, target.offset, prod(moduli))
     return ProofReport(
         combined,
         tuple(s for rep in reports for s in rep.reduction),
         tuple(c for rep in reports for c in rep.certificates),
-        assumed_all,
-        verdict,
+        PROVED,
         f"combined moduli {moduli}",
     )
 
@@ -231,9 +193,12 @@ def regression_suite() -> SuiteReport:
       combination below, all read from one expansion of f to ORACLE_MAX
       modulo the lcm of their moduli;
     * the proof of each instance claim;
-    * for each known congruence that contains an instance claim with a
-      coprime modulus, the combined congruence on that claim's progression."""
+    * for each published claim (data/published) that contains an instance
+      claim with a coprime modulus, the combined congruence on that claim's
+      progression: it proves the published claim and fails if that proof
+      does, and it is skipped if the instance proof failed."""
     docs = documents.shipped_instances()
+    published = documents.published_instances()
     known = known_congruences()
     entries = [
         _entry_from_check(tspp.check_support(10_000)),
@@ -253,12 +218,12 @@ def regression_suite() -> SuiteReport:
         else:
             entries.append(SuiteEntry(name, "fail", f"first mismatch at n = {mismatch}"))
 
-    # (cited congruence, instance claim, combined claim)
+    # (published document, instance claim, combined claim)
     combinations = [
-        (c, doc.claim, replace(doc.claim, modulus=c.modulus * doc.claim.modulus))
+        (pub, doc.claim, replace(doc.claim, modulus=pub.claim.modulus * doc.claim.modulus))
         for doc in docs
-        for c in known
-        if c.contains(doc.claim) and gcd(c.modulus, doc.claim.modulus) == 1
+        for pub in published
+        if pub.claim.contains(doc.claim) and gcd(pub.claim.modulus, doc.claim.modulus) == 1
     ]
     oracle_claims = [*known, *(doc.claim for doc in docs), *(t for _, _, t in combinations)]
     ring = residues_mod(lcm(*(claim.modulus for claim in oracle_claims)))
@@ -276,18 +241,15 @@ def regression_suite() -> SuiteReport:
         else:
             entries.append(SuiteEntry(name, "fail", report.detail or report.verdict))
 
-    for c, claim, target in combinations:
+    for pub, claim, target in combinations:
         name = f"combined {target.describe()}"
-        if claim not in proved:
+        report = prove_tspp_congruence(pub.claim, pub.hints)
+        if report.verdict != PROVED:
+            entries.append(SuiteEntry(name, "fail", f"proof {pub.claim.describe()}: {report.detail}"))
+        elif claim not in proved:
             entries.append(SuiteEntry(name, "skip", f"mod {claim.modulus} proof unavailable"))
-            continue
-        cited = AssumedCongruence(
-            c, "previously published congruence, assumed without reproof", ORACLE_MAX
-        )
-        combined = combine_congruences([proved[claim]], [cited])
-        ok = combined.verdict == PROVED_MODULO_CITATIONS and combined.claim == target
-        entries.append(
-            SuiteEntry(name, "pass" if ok else "fail", f"verdict {combined.verdict}")
-        )
+        else:
+            combined = combine_congruences([proved[claim], report])
+            entries.append(SuiteEntry(name, "pass", f"verdict {combined.verdict}"))
 
     return SuiteReport(tuple(entries))

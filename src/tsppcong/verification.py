@@ -144,14 +144,6 @@ class VerificationBound(NamedTuple):
     v: Fraction
     orbit: tuple[int, ...]
 
-    @property
-    def v_floor(self) -> int:
-        return floor(self.v)
-
-    @property
-    def t_min(self) -> int:
-        return self.orbit[0]
-
 
 @dataclass(frozen=True)
 class ProgressionCheck:
@@ -457,9 +449,9 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     if failure is None:
         # a negative bound leaves ns empty: nothing is expanded or read, and
         # every orbit member gets an empty check that passes
-        ns = range(bound.v_floor + 1)
+        ns = range(floor(bound.v) + 1)
         if ns:
-            expansion_order = instance.m * bound.v_floor + max(members)
+            expansion_order = instance.m * floor(bound.v) + max(members)
             step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
             offset = members[0] % step
             series = _expansion(instance.r, expansion_order, instance.u, step, offset)

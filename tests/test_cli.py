@@ -43,7 +43,7 @@ EXPAND_SHA256 = {
 
 
 # the bytes `tsppcong regress` prints: 22 rows and the overall line
-REGRESS_SHA256 = "3c6184ba5650d6d64d3792a87d8a1bbeb3bbfa11149cf498bafe315a8e13d52a"
+REGRESS_SHA256 = "aebe48bb42e6e11278f5e4b1420c9afac9936c728169ab9d85a0782f6e6df427"
 
 
 def write_instance(tmp_path, payload, name="case.json"):

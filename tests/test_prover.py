@@ -1,6 +1,8 @@
 """Proof orchestration: reduction plus verification, modulus combination,
 oracle cross-checks and the regression suite."""
 
+import re
+
 import pytest
 
 import tsppcong as tc
@@ -9,8 +11,6 @@ from tsppcong.prover import (
     FAILED,
     NOT_REDUCIBLE,
     PROVED,
-    PROVED_MODULO_CITATIONS,
-    AssumedCongruence,
     ProofReport,
     build_instance,
 )
@@ -52,7 +52,6 @@ def test_prove_mod125_claims(shipped_docs):
         assert cert.verdict == "VERIFIED"
         assert cert.bound_floor == 84
         assert cert.orbit == (229, 604)
-        assert not report.assumed
 
 
 def test_prove_mod11_claims(shipped_docs, proof_825):
@@ -120,50 +119,50 @@ def test_oracle_check_rejects_foreign_rings_and_claims():
         tc.CongruenceClaim("gap", 625, 229, 125)  # the oracle is only ever handed f claims
 
 
-def test_combine_congruences_with_citation(proof_825):
-    cited = AssumedCongruence(
-        tc.CongruenceClaim("f", 10, 5, 5), "previously published", 50_000
-    )
-    combined = tc.combine_congruences([proof_825], [cited])
-    assert combined.verdict == PROVED_MODULO_CITATIONS
-    assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
-    assert combined.assumed == (cited,)
-    assert combined.certificates == proof_825.certificates
-
-
 def test_combine_upgrade_when_citation_is_replaced(proof_825):
     # a proof of the mod 5 part upgrades the verdict and changes nothing else
-    mod5 = ProofReport(tc.CongruenceClaim("f", 2750, 825, 5), (), (), (), PROVED)
+    mod5 = ProofReport(tc.CongruenceClaim("f", 2750, 825, 5), (), (), PROVED)
     combined = tc.combine_congruences([proof_825, mod5])
     assert combined.verdict == PROVED
     assert combined.claim.modulus == 55
     assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
     assert combined.certificates == proof_825.certificates
-    assert combined.assumed == ()
+
+
+def test_combine_with_the_published_mod5_proof(proof_825):
+    # f(10n+5) = 0 (mod 5) contains the target progression f(2750n+825)
+    (doc,) = [d for d in tc.published_instances() if d.claim.modulus == 5]
+    mod5 = tc.prove_tspp_congruence(doc.claim, doc.hints)
+    combined = tc.combine_congruences([proof_825, mod5])
+    assert combined.verdict == PROVED
+    assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
+    assert combined.certificates == proof_825.certificates + mod5.certificates
+    assert combined.detail == "combined moduli [11, 5]"
+    with pytest.raises(ValueError, match="does not contain"):
+        tc.combine_congruences([mod5, proof_825])  # the target is the first report's
 
 
 def test_combine_rejects_non_coprime_moduli(proof_825):
-    other = ProofReport(tc.CongruenceClaim("f", 2750, 825, 121), (), (), (), PROVED)
+    other = ProofReport(tc.CongruenceClaim("f", 2750, 825, 121), (), (), PROVED)
     with pytest.raises(ValueError, match="coprime"):
         tc.combine_congruences([proof_825, other])
 
 
 def test_combine_rejects_progression_mismatch(proof_825):
-    other = ProofReport(tc.CongruenceClaim("f", 2750, 1925, 5), (), (), (), PROVED)
-    with pytest.raises(ValueError, match="mismatch"):
+    other = ProofReport(tc.CongruenceClaim("f", 2750, 1925, 5), (), (), PROVED)
+    with pytest.raises(ValueError, match="does not contain"):
         tc.combine_congruences([proof_825, other])
 
 
 def test_combine_checks_citation_containment(proof_825):
-    cited = AssumedCongruence(
-        tc.CongruenceClaim("f", 10, 3, 5), "wrong residue", 1_000
-    )
-    with pytest.raises(ValueError, match="does not contain"):
-        tc.combine_congruences([proof_825], [cited])
+    # a proved claim on a coarser progression, but the wrong residue class
+    other = ProofReport(tc.CongruenceClaim("f", 10, 3, 5), (), (), PROVED)
+    with pytest.raises(ValueError, match=re.escape("f(10n+3) = 0 (mod 5) does not contain f(2750n+825)")):
+        tc.combine_congruences([proof_825, other])
 
 
 def test_combine_rejects_unproved_inputs(proof_825):
-    failed = ProofReport(tc.CongruenceClaim("f", 2750, 825, 5), (), (), (), FAILED)
+    failed = ProofReport(tc.CongruenceClaim("f", 2750, 825, 5), (), (), FAILED)
     with pytest.raises(ValueError, match="verdict"):
         tc.combine_congruences([proof_825, failed])
     with pytest.raises(ValueError):
@@ -213,7 +212,7 @@ def suite_of(monkeypatch, docs):
 
 
 def test_regression_suite_derives_combinations(shipped_docs, monkeypatch):
-    # a combined row needs a known congruence containing an instance claim
+    # a combined row needs a published claim containing an instance claim
     # with a coprime modulus: f(10n+5) = 0 (mod 5) and a mod-11 claim
     def rows(docs):
         suite = suite_of(monkeypatch, docs)

@@ -3,7 +3,7 @@ finite check itself."""
 
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
@@ -278,12 +278,12 @@ def test_verification_bound_exact_values(instance1, instance2):
     v1 = tc.verification_bound(instance1)
     assert v1.v == Fraction(2039, 24) - Fraction(4, 15000) - Fraction(229, 625)
     assert v1.v == Fraction(10151, 120)
-    assert (v1.v_floor, v1.t_min) == (84, 229)
+    assert (floor(v1.v), v1.orbit[0]) == (84, 229)
 
     v2 = tc.verification_bound(instance2)
     assert v2.v == Fraction(3666, 24) - Fraction(4, 33000) - Fraction(779, 1375)
     assert v2.v == Fraction(9131, 60)
-    assert (v2.v_floor, v2.t_min) == (152, 779)
+    assert (floor(v2.v), v2.orbit[0]) == (152, 779)
 
 
 def test_verification_bound_degenerate():
@@ -292,7 +292,7 @@ def test_verification_bound_degenerate():
         r=tc.EtaQuotientSpec(1, {}), r_prime=tc.EtaQuotientSpec(1, {}), u=2,
     )
     v = tc.verification_bound(inst)
-    assert v.v == 0 and v.v_floor == 0 and v.t_min == 0
+    assert v.v == 0 and floor(v.v) == 0 and v.orbit[0] == 0
 
 
 def test_bound_floor_uses_true_floor_for_negative_values():
@@ -304,7 +304,7 @@ def test_bound_floor_uses_true_floor_for_negative_values():
     v = tc.verification_bound(inst)
     assert v.v == Fraction(-6, 24) - Fraction(-1, 120) - Fraction(4, 5)
     assert v.v == Fraction(-25, 24)
-    assert v.v_floor == -2  # floor, not truncation toward zero
+    assert floor(v.v) == -2  # floor, not truncation toward zero
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ def test_decision_path_is_float_free(instance1, instance2):
         report = tc.admissibility_check(inst)
         bound = tc.verification_bound(inst)
         assert isinstance(bound.v, Fraction)
-        assert isinstance(bound.v_floor, int)
+        assert isinstance(floor(bound.v), int)
         assert_no_floats(report)
         assert_no_floats(bound.v)
         kap = tc.kappa(inst.m)
