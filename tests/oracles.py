@@ -1,14 +1,17 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here shares code with the package: products are expanded by naive
-truncated polynomial multiplication and partition counts come from the
-standard bounded-part recursion.  These are the reference values the fast
-paths are checked against.
+truncated polynomial multiplication, partition counts come from the
+standard bounded-part recursion, and the verifier's unit squares and cusp
+minima come from trying every residue and every lambda.  These are the
+reference values the fast paths are checked against.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 def poly_mul(a, b, order):
@@ -82,3 +85,23 @@ def slice_brute(order):
     cube = poly_mul(cube, euler_product(2, order), order)
     cube = poly_mul(cube, euler_product(2, order), order)
     return poly_mul(colored, cube, order)
+
+
+def unit_squares(n):
+    """{x^2 mod n : gcd(x, n) = 1}, sorted, by trying every residue."""
+    return tuple(sorted({x * x % n for x in range(n) if gcd(x, n) == 1}))
+
+
+def cusp_scan(rep, m, r, kap):
+    """(value, lambda): the least over lambda in [0, m) of
+    (1/24) sum_d r_d gcd(d (a + kap lambda c), m c)^2 / (d m), and the first
+    lambda, scanning forward, that attains it."""
+    best = None
+    for lam in range(m):
+        value = sum(
+            Fraction(rd * gcd(d * (rep.a + kap * lam * rep.c), m * rep.c) ** 2, 24 * d * m)
+            for d, rd in r.nonzero()
+        )
+        if best is None or value < best[0]:
+            best = (value, lam)
+    return best

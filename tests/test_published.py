@@ -39,12 +39,6 @@ def test_published_file_proves(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_published_claims_are_known():
-    published = [doc.claim for doc in tc.published_instances()]
-    assert len(published) == len(PUBLISHED_PROOFS)
-    assert set(published) <= set(tc.known_congruences())
-
-
 def test_failed_published_proof_fails_regress(monkeypatch, capsys):
     # without r' the cusp bound at c = 1 is negative, so f(10n+5) is not proved
     bad = documents.InstanceDocument(

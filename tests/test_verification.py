@@ -3,11 +3,15 @@ finite check itself."""
 
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import tsppcong as tc
+from tsppcong import verification
 from tsppcong.documents import canonical_json, certificate_to_doc
 from tsppcong.verification import (
     CuspBound,
@@ -70,6 +74,11 @@ def test_squares_mod():
     assert tc.squares_mod(1) == (0,)
     assert tc.squares_mod(5) == (1, 4)
     assert tc.squares_mod(12) == (1,)
+
+
+def test_squares_mod_matches_brute_force():
+    for n in [*range(1, 3001), 24 * 625, 24 * 1375]:
+        assert tc.squares_mod(n) == oracles.unit_squares(n), n
 
 
 def test_orbit_reproduces_instances(instance1, instance2):
@@ -202,6 +211,60 @@ def test_cusp_order_bound_scan_order_independent(instance2):
             if best is None or value < best:
                 best = value
         assert forward.value == best
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def cusp_cases(draw):
+    """(rep, m, r): a determinant-1 representative whose c is 1, shares
+    primes with m or is arbitrary, a step m in [1, 400] that is 1, a
+    multiple of 3, even or arbitrary, and an eta quotient of a level with
+    random exponents."""
+    m = draw(st.one_of(
+        st.just(1),
+        st.integers(1, 133).map(lambda k: 3 * k),
+        st.integers(1, 200).map(lambda k: 2 * k),
+        st.integers(1, 400),
+    ))
+    level = prod(p ** draw(st.integers(0, 2)) for p in (2, 3, 5, 11))
+    exponents = st.dictionaries(st.sampled_from(_divisors(level)), st.integers(-30, 30), max_size=4)
+    r = tc.EtaQuotientSpec(level, draw(exponents))
+    c = draw(st.one_of(
+        st.just(1),
+        st.tuples(st.sampled_from(_divisors(m)), st.integers(1, 6)).map(prod),
+        st.integers(1, 300),
+    ))
+    a = draw(st.integers(-60, 60).filter(lambda a: gcd(a, c) == 1))
+    d = pow(a, -1, c)
+    return tc.CosetRep(a, (a * d - 1) // c, c, d), m, r
+
+
+@given(case=cusp_cases())
+@settings(deadline=None, max_examples=300)
+def test_cusp_order_bound_matches_forward_scan(case):
+    rep, m, r = case
+    kap = tc.kappa(m)
+    assert tuple(cusp_order_bound(rep, m, r, kap)) == oracles.cusp_scan(rep, m, r, kap)
+
+
+@pytest.mark.parametrize("shift,message", [(-1, "no lambda"), (1, "is below its minimum")])
+def test_cusp_order_bound_raises_on_a_wrong_minimum(instance2, monkeypatch, shift, message):
+    least = verification._least_over_valuation_classes
+    monkeypatch.setattr(verification, "_least_over_valuation_classes", lambda *args: least(*args) + shift)
+    kap = tc.kappa(instance2.m)
+    for rep in coset_reps(instance2.N):
+        with pytest.raises(RuntimeError, match=message):
+            cusp_order_bound(rep, instance2.m, instance2.r, kap)
+
+
+def test_cusp_order_bound_raises_when_kappa_shares_a_prime_with_m():
+    # x = 1 + 5*lambda is a unit mod 5 for every lambda, so the least class,
+    # x divisible by 5, is never reached
+    with pytest.raises(RuntimeError, match="no lambda"):
+        cusp_order_bound(tc.CosetRep(1, 0, 1, 1), 5, tc.EtaQuotientSpec(1, {1: -1}), 5)
 
 
 def test_instance2_cusp_table(instance2):
@@ -465,7 +528,8 @@ def test_decision_path_is_float_free(instance1, instance2):
         report = tc.admissibility_check(inst)
         bound = tc.verification_bound(inst)
         assert isinstance(bound.v, Fraction)
-        assert isinstance(floor(bound.v), int)
+        assert all(type(t_prime) is int for t_prime in bound.orbit)
+        assert all(type(s) is int for s in tc.squares_mod(24 * inst.m))
         assert_no_floats(report)
         assert_no_floats(bound.v)
         kap = tc.kappa(inst.m)
@@ -473,4 +537,5 @@ def test_decision_path_is_float_free(instance1, instance2):
             cb = cusp_order_bound(rep, inst.m, inst.r, kap)
             assert isinstance(cb, CuspBound)
             assert isinstance(cb.value, Fraction)
+            assert type(cb.lam) is int
             assert isinstance(aux_cusp_order(rep, inst.r_prime), Fraction)
