@@ -4,7 +4,10 @@ Both directions are strict and deterministic.  Instance files are JSON with
 a fixed schema; unknown fields are rejected so a typo cannot silently relax
 a proof.  Certificates serialize with sorted keys, two-space indentation and
 exact fractions rendered as "numerator/denominator", which makes two runs on
-the same input byte-identical.
+the same input byte-identical.  The writer, canonical_json, accepts only the
+value types a certificate holds (dict with str keys, list, str, int, bool
+and None) and raises TypeError on anything else, so no float, tuple or int
+subclass reaches a document.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -186,7 +190,59 @@ def shipped_instance(name: str) -> InstanceDocument:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The text json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
+    gives, plus a final newline, for the value types a certificate holds:
+    dict with str keys, list, str, int, True, False and None.  Any other
+    value, a float among them, raises TypeError.
+
+    json.dumps leaves its C encoder for pure Python whenever it indents, so
+    this writer indents itself and quotes strings with the C quoter."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit value; newline is the line break plus the current indentation.
+
+    The type tests are exact, so an int subclass such as an IntEnum is
+    refused, and True is written as true, never as the int 1."""
+    kind = type(value)
+    if kind is str:
+        emit(_quote(value))
+    elif kind is bool:
+        emit("true" if value else "false")
+    elif kind is int:
+        emit(int.__repr__(value))
+    elif value is None:
+        emit("null")
+    elif kind is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        if any(type(key) is not str for key in value):
+            raise TypeError(f"document keys must be str, got {sorted(map(repr, value))}")
+        sep = "{" + inner
+        for key in sorted(value):
+            emit(sep + _quote(key) + ": ")
+            _write(value[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif kind is list:
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        raise TypeError(f"a document holds no {kind.__name__}: {value!r}")
 
 
 def fraction_text(value: Fraction) -> str:

@@ -312,8 +312,11 @@ def _mul_progression(
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(a.order, b.order).
 
-    One Kronecker-substitution multiply of Python ints: near-linear in the
-    order times the coefficient width, dense or sparse alike.
+    One Kronecker-substitution multiply: each operand is packed into one
+    Python int of about (order + 1) times the limb width, so the cost is one
+    CPython big-integer product of those two ints, dense or sparse alike.
+    CPython multiplies ints that large by Karatsuba, which is far from
+    linear in the order.
     """
     ring = _common_ring(a, b)
     n = min(a.order, b.order)

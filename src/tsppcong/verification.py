@@ -168,7 +168,10 @@ class Certificate:
     The fields are what the run computed; kappa, t_min, group_index,
     bound_floor and verdict are properties read off them: kappa(m),
     orbit[0], index_gamma0(N), floor(bound), and "VERIFIED" exactly when
-    failure is None.
+    failure is None.  expansion_order is the order the scan needs,
+    m*floor(bound) + max(orbit), or None when it reads no coefficient; a
+    claim that fails at n = 0 on every orbit member is decided by a shorter
+    expansion (see verify_instance).
     """
 
     instance: VerificationInstance
@@ -474,6 +477,13 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     So the expansion runs modulo u through m*floor(v) + max(orbit) but
     returns only that progression, which the two claims of one orbit share
     through the memo.
+
+    The scan first expands, through the same memo, only through max(orbit),
+    which holds the n = 0 coefficient c(t') of every orbit member.  When
+    each of those is nonzero, each member's first violation is at n = 0,
+    and this short series completes the certificate; otherwise the full
+    expansion is made.  Either way expansion_order records
+    m*floor(v) + max(orbit), the order the scan needs.
     """
     report = admissibility_check(instance)
     kap = kappa(instance.m)
@@ -505,7 +515,9 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
             expansion_order = instance.m * floor(bound.v) + max(members)
             step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
             offset = members[0] % step
-            series = _expansion(instance.r, expansion_order, instance.u, step, offset)
+            series = _expansion(instance.r, max(members), instance.u, step, offset)
+            if not all(series[(t_prime - offset) // step] for t_prime in members):
+                series = _expansion(instance.r, expansion_order, instance.u, step, offset)
         for t_prime in members:
             indices = tuple(instance.m * n + t_prime for n in ns)
             violation = next((i for i in indices if series[(i - offset) // step]), None)

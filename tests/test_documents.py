@@ -1,9 +1,12 @@
 """Instance-file parsing, strictness, and deterministic serialization."""
 
+import enum
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsppcong as tc
 from tsppcong.documents import (
@@ -113,6 +116,60 @@ def test_canonical_json_is_stable():
     second = canonical_json(json.loads(first))
     assert first == second
     assert first.endswith("\n")
+
+
+# strings weighted toward what the writer must escape: quotes, backslashes,
+# control characters, non-ASCII text and astral characters (surrogate pairs)
+texts = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\u00ff\U0001f600'),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=12,
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    texts,
+)
+documents_st = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(texts, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@given(doc=documents_st)
+@settings(deadline=None)
+def test_canonical_json_matches_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def test_canonical_json_nests_empty_and_deep_containers():
+    doc = {"a": [], "b": {}, "c": [[[{"d": [{}]}]]], "\u00e9": None}
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0, {1: 2}, {"a": 1, 2: "b"}, (1, 2), Small.ONE, [float("nan")], {"x": [0.5]}],
+    ids=["float", "int-key", "mixed-keys", "tuple", "int-enum", "nan-in-list", "nested-float"],
+)
+def test_canonical_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def test_canonical_json_writes_bools_as_json_literals():
+    # bool is an int subclass: an int test first would write True as 1
+    assert canonical_json([True, False, 1, 0]) == "[\n  true,\n  false,\n  1,\n  0\n]\n"
+    assert canonical_json(True) == "true\n"
 
 
 def test_certificate_document_uses_exact_fraction_strings(instance1, certificate1):

@@ -7,6 +7,7 @@ import pytest
 
 import tsppcong as tc
 from tsppcong import documents
+from tsppcong.verification import clear_expansion_cache
 from tsppcong.prover import (
     FAILED,
     NOT_REDUCIBLE,
@@ -195,8 +196,29 @@ SUITE_ROWS = [
 ]
 
 
-def test_regression_suite_smoke():
+def test_regression_suite_smoke(monkeypatch):
+    calls = {"published_instances": 0, "prove_tspp_congruence": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(documents, "published_instances")
+    counting(tc.prover, "prove_tspp_congruence")
+    clear_expansion_cache()
     suite = tc.regression_suite()
+    # data/published is read once, and its mod-5 proof serves both mod-55
+    # rows: four instance proofs and one published proof
+    assert calls == {"published_instances": 1, "prove_tspp_congruence": 5}
+    # three pairs of memo keys (n = 0 probe, full scan) for mod 125, mod 11
+    # and mod 5 fit the memo, so no expansion is made twice
+    info = tc.verification._expansion.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (6, 4, 6)
     assert suite.passed
     assert [e.name for e in suite.entries] == SUITE_ROWS
     assert all(e.status == "pass" for e in suite.entries)

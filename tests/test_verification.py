@@ -1,8 +1,10 @@
 """Orbit, cusp and admissibility machinery, the verification bound, and the
 finite check itself."""
 
+import random
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import islice
 from math import floor, gcd, prod
 
 import pytest
@@ -390,7 +392,9 @@ def test_verify_tiny_partition_instance(tiny_instance):
 def test_verifier_expands_only_the_progression_it_reads(monkeypatch):
     # the orbits (229, 604) mod 625 and (779, 1054) mod 1375 lie in 125n + 104
     # and 275n + 229, so the orders 53 104 and 210 054 need 425 and 764
-    # coefficients, not 53 105 and 210 055; each pair of claims shares one
+    # coefficients, not 53 105 and 210 055; each pair of claims shares one.
+    # Before each, the n = 0 probe expands through max(orbit): 604 and 1054,
+    # i.e. 5 and 4 coefficients, which the pair shares too
     lengths = []
     expand = tc.verification.eta_quotient
 
@@ -405,13 +409,60 @@ def test_verifier_expands_only_the_progression_it_reads(monkeypatch):
         doc = tc.shipped_instance(name)
         assert tc.prove_tspp_congruence(doc.claim, doc.hints).verdict == "PROVED"
     info = tc.verification._expansion.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (2, 2)
     for name in ("f_2750n_825_mod11", "f_2750n_1925_mod11"):
         doc = tc.shipped_instance(name)
         assert tc.prove_tspp_congruence(doc.claim, doc.hints).verdict == "PROVED"
     info = tc.verification._expansion.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    assert lengths == [425, 764]
+    assert (info.misses, info.hits) == (4, 4)
+    assert lengths == [5, 425, 4, 764]
+
+
+def sweep_shaped_claims(seed):
+    """Endless seeded claims f(2m*n + B) = 0 (mod p^alpha), m = p*k, with the
+    hints N = 2p and r' = {1: k'}, kept when some class n = 3j + r lands on
+    indices 1 (mod 6) and none on 4 (mod 6), so that they reach the
+    verifier."""
+    rng = random.Random(seed)
+    while True:
+        p = rng.choice((5, 7, 11, 13))
+        u = p ** rng.choice((1, 2)) if p in (5, 7) else p
+        step = 2 * p * rng.choice((1, 3, 5, 7, 11, 13))
+        hints = tc.InstanceHints(2 * p, tc.EtaQuotientSpec(2 * p, {1: rng.randrange(1, 40)}))
+        offset = rng.randrange(step)
+        residues = {(step * r + offset) % 6 for r in range(3)}
+        if 1 in residues and 4 not in residues:
+            yield tc.CongruenceClaim("f", step, offset, u), hints
+
+
+def test_scan_first_violations_match_a_full_expansion():
+    # the scan may stop on a short expansion through max(orbit) when every
+    # orbit member is nonzero at n = 0; each certificate must still report
+    # what a scan of the whole expansion, made here, finds
+    kinds = {"proved claim": 0, "verified": 0, "every member fails at n = 0": 0, "scan passes n = 0": 0}
+    for claim, hints in islice(sweep_shaped_claims(2), 500):
+        report = tc.prove_tspp_congruence(claim, hints)
+        kinds["proved claim"] += report.verdict == "PROVED"
+        for cert in report.certificates:
+            if cert.expansion_order is None:
+                continue
+            inst = cert.instance
+            full = tc.eta_quotient(inst.r, cert.expansion_order, tc.residues_mod(inst.u))
+            for check in cert.checked:
+                assert check.first_violation == next((i for i in check.indices if full[i]), None)
+            found = [c.first_violation for c in cert.checked if c.first_violation is not None]
+            if not found:
+                assert cert.verdict == "VERIFIED"
+                kinds["verified"] += 1
+                continue
+            assert cert.failure == (
+                f"coefficient at index {found[0]} is {full[found[0]]} (mod {inst.u}), expected 0"
+            )
+            if [c.first_violation for c in cert.checked] == list(cert.orbit):
+                kinds["every member fails at n = 0"] += 1
+            else:
+                kinds["scan passes n = 0"] += 1
+    assert min(kinds.values()) >= 3, kinds
 
 
 def test_verify_negative_bound_reads_no_coefficient():
