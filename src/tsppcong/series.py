@@ -383,6 +383,9 @@ def eta_quotient(
     period.  Those coefficients cost one sum of period products of pieces
     that take every period-th coefficient (_mul_progression).
     """
+    bad = [x for x in (order, step, offset) if not _is_int(x)]
+    if bad:
+        raise ValueError(f"order, step and offset must be integers, got {bad[0]!r}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if step < 1:

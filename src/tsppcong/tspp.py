@@ -126,32 +126,41 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
 
     Expands 1 + sum_{n>=1} q^(3n-2) * prod_{i=0}^{n-2} (1 + q^(6i+3)).  One
     array holds the coefficients of q^(3j+1), which in x = q^3 form
-    U_0 = sum_n x^n prod_{i<n} (1 + x^(2i+1)), by Horner's rule
-    U_k = x^k + (1 + x^(2k+1)) U_(k+1) from U_lc = 0.  As step k reads only
-    slots above k and writes only from 3k+2 on, every x^k is a starting 1
-    and the steps with 3k+2 >= lc, which write nothing, are skipped.  Over
-    Z/u a step leaves what it wrote in [0, 2u) and reduces it by one
-    conditional subtraction, or by a remainder once 2u >= 2**63 needs ints.
+    U_0 = sum_n x^n (-x; x^2)_n.  Since (-x; x^2)_n = sum_j x^(j^2) [n, j]
+    in x^2-binomials, and sum_{n>=j} [n, j]_Q t^n = t^j / (t; Q)_(j+1)
+    (Andrews, The Theory of Partitions, ch. 3),
+
+        U_0 = sum_{j>=0} x^(j(j+1)) T_j,   T_j = 1 / prod_{i=0}^{j} (1 - x^(2i+1)).
+
+    T_0 is all ones and T_j = T_(j-1) / (1 - x^(2j+1)) is one cumulative
+    sum down the columns of a (rows, 2j+1) view, taken over the first
+    lc - j(j+1) slots that the sum reads from offset j(j+1); so about
+    sqrt(lc) steps expand lc slots.  Over Z/u each T_j is reduced and the
+    total once at the end: a column sums at most lc residues and the total
+    at most lc + 1, so u * (lc + 1) picks the array's dtype.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    if not _is_int(order) or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     u = ring.modulus
     lc = (order + 2) // 3
-    acc = np.ones(lc, dtype=array_dtype(None if u is None else 2 * u))
-    unsigned = acc.view(f"u{acc.itemsize}") if acc.dtype != object else None
-    for k in range((lc - 3) // 3, -1, -1):
-        tail = acc[3 * k + 2 :]
-        # U_(k+1) starts at x^(k+1), so x^(2k+1) U_(k+1) starts at x^(3k+2);
-        # the operands overlap and numpy reads the source before writing
-        tail += acc[k + 1 : k + 1 + len(tail)]
-        if unsigned is not None:
-            # tail is in [0, 2u): below u, v - u wraps past 2u and min keeps v
-            v = unsigned[3 * k + 2 :]
-            np.minimum(v, v - v.dtype.type(u), out=v)
-        elif u is not None:
-            np.remainder(tail, u, out=tail)
+    dtype = array_dtype(None if u is None else u * (lc + 1))
+    total = np.ones(lc, dtype=dtype)
+    term = np.ones(lc, dtype=dtype)
+    j = 1
+    while (start := j * (j + 1)) < lc:
+        # rows * (2j+1) <= lc - j(j-1), the slots on which T_(j-1) is known
+        width = 2 * j + 1
+        rows = -(-(lc - start) // width)
+        block = term[: rows * width].reshape(rows, width)
+        np.cumsum(block, axis=0, dtype=dtype, out=block)
+        if u is not None:
+            np.remainder(block, u, out=block)
+        total[start:] += term[: lc - start]
+        j += 1
+    if u is not None:
+        np.remainder(total, u, out=total)
     out = [1] + [0] * order
-    out[1::3] = acc.tolist()
+    out[1::3] = total.tolist()
     return TruncatedSeries(ring, tuple(out))
 
 
@@ -195,7 +204,7 @@ def check_support(order: int) -> CheckReport:
 
     Runs in exact arithmetic.  A counterexample is reported, not raised.
     """
-    f = tspp_series(order, INTEGERS)
+    f = tspp_series(order, INTEGERS).coeffs
     checked = 0
     for n in range(1, order + 1):
         if n % 3 == 1:
@@ -208,19 +217,19 @@ def check_support(order: int) -> CheckReport:
 
 def check_slice_identity(order: int) -> CheckReport:
     """Assert count(6n+1) equals the slice series coefficient, exactly."""
-    f = tspp_series(order, INTEGERS)
+    f = tspp_series(order, INTEGERS).coeffs
     top = (order - 1) // 6 if order >= 1 else -1
     checked = 0
     if top >= 0:
-        g = slice_series(top, INTEGERS)
-        for n in range(top + 1):
+        g = slice_series(top, INTEGERS).coeffs
+        for n, (count, slice_n) in enumerate(zip(f[1::6], g)):
             checked += 1
-            if f[6 * n + 1] != g[n]:
+            if count != slice_n:
                 return CheckReport(
                     "slice-identity",
                     checked,
                     6 * n + 1,
-                    f"count({6 * n + 1}) = {f[6 * n + 1]} but slice({n}) = {g[n]}",
+                    f"count({6 * n + 1}) = {count} but slice({n}) = {slice_n}",
                 )
     return CheckReport("slice-identity", checked, None, f"n <= {top}")
 

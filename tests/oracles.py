@@ -69,7 +69,7 @@ def tspp_brute(order):
             e = 6 * i + 3
             if e <= order:
                 factor[e] = 1
-            prod = poly_mul(prod, factor, order)
+            prod = poly_mul(factor, prod, order)  # factor first: two nonzero terms
         shift = 3 * n - 2
         for j, c in enumerate(prod):
             if shift + j <= order:

@@ -284,6 +284,24 @@ def test_regression_suite_derives_combinations(shipped_docs, monkeypatch):
     ]
 
 
+def test_regression_suite_reports_first_slice_variant_mismatch(shipped_docs, monkeypatch):
+    exact = tc.prover.slice_variant_series
+
+    def corrupted(alpha, p, order, ring):
+        coeffs = list(exact(alpha, p, order, ring).coeffs)
+        coeffs[7] += 1
+        coeffs[8] += 1
+        return tc.TruncatedSeries(ring, tuple(coeffs))
+
+    monkeypatch.setattr(tc.prover, "slice_variant_series", corrupted)
+    suite = suite_of(monkeypatch, [shipped_docs[2]])
+    failing = [(e.name, e.detail) for e in suite.entries if e.status == "fail"]
+    assert failing == [
+        (f"congruence g[{alpha},{p}] = g (mod {p**alpha})", "first mismatch at n = 7")
+        for alpha, p in ((1, 11), (1, 5), (2, 5), (2, 2))
+    ]
+
+
 def test_regression_suite_reports_injected_failure(shipped_docs, monkeypatch):
     corrupted = tc.InstanceDocument(
         shipped_docs[0].claim,

@@ -369,6 +369,17 @@ def test_eta_quotient_rejects_bad_progressions():
             tc.eta_quotient(spec, 10, tc.INTEGERS, step, offset)
 
 
+def test_eta_quotient_refuses_non_int_arguments():
+    # True would pass for an order, step or offset of 1, and a float order
+    # used to fail inside list repetition
+    spec = tc.EtaQuotientSpec(2, {1: -2, 2: 3})
+    for bad in (True, 7.0, "7", np.int64(7), None):
+        for order, step, offset in ((bad, 1, 0), (10, bad, 0), (10, 3, bad)):
+            with pytest.raises(ValueError, match="must be integers, got " + re.escape(repr(bad))):
+                tc.eta_quotient(spec, order, tc.INTEGERS, step, offset)
+    assert tc.eta_quotient(spec, 10, tc.INTEGERS, 3, 1).coeffs == tc.slice_series(10).coeffs[1::3]
+
+
 def test_array_dtype_ladder():
     # the narrowest signed width whose range holds every |value| < bound,
     # strictly: bound 2**(bits-1) already needs the next width

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import tsppcong as tc
+from tsppcong.series import array_dtype
 
 
 def test_counting_series_first_values():
@@ -16,9 +17,10 @@ def test_counting_series_first_values():
 
 
 def test_counting_series_matches_uncompressed_expansion():
-    # orders 0..6 fill lc <= 2 slots and run no step; 0..40 give lc = 0..14,
-    # so every residue of lc mod 3 and each first step (lc - 3) // 3 from -1
-    # to 3, the shortest shifted additions among them
+    # orders 0..6 fill lc <= 2 slots and take no cumulative sum; 0..40 give
+    # lc = 0..14, so every residue of the order mod 3 and 0 to 3 sums, and
+    # 150 (lc = 50) runs six sums down columns of 3, 5, ..., 13 slots, the
+    # last one over only 8 slots
     for order in (*range(41), 150):
         brute = oracles.tspp_brute(order)
         assert list(tc.tspp_series(order).coeffs) == brute, order
@@ -26,17 +28,56 @@ def test_counting_series_matches_uncompressed_expansion():
         assert list(mod2) == [c % 2 for c in brute], order
 
 
+def test_counting_series_step_counts_match_brute_force():
+    # step j runs iff j(j+1) < lc, so the count of cumulative sums changes
+    # between lc = j(j+1) and j(j+1) + 1; each such lc is reached by three
+    # orders, 3lc - 2 through 3lc.  The brute-force prefixes agree, so one
+    # expansion to the largest order serves them all
+    orders = [3 * lc - k for j in range(1, 9) for lc in (j * (j + 1), j * (j + 1) + 1) for k in (2, 1, 0)]
+    brute = oracles.tspp_brute(max(orders))
+    for order in orders:
+        expected = brute[: order + 1]
+        assert list(tc.tspp_series(order).coeffs) == expected, order
+        for u in (2, 125):
+            got = tc.tspp_series(order, tc.residues_mod(u)).coeffs
+            assert list(got) == [c % u for c in expected], (order, u)
+
+
 def test_counting_series_mod_kernel_matches_exact():
     # counts pass 2**31 at n = 1189 and 2**63 at n = 4264, so every modulus
-    # wraps.  The kernel's values stay below 2u and array_dtype(2u) picks
-    # int8 through u = 63, int16 from 64 through 16383, int32 from 16384
-    # through 2**30 - 1, int64 from 2**30 through 2**62 - 1 and object from
-    # 2**62 on; each edge is tested from both sides
-    order = 5000
-    exact = tc.tspp_series(order)
-    moduli = (4, 5, 25, 125, 11, 63, 64, 16383, 16384, 2**20, 2**20 + 1, 2**30 - 1, 2**30, 2**31 - 1)
-    for u in (*moduli, 2**61 - 1, 2**62 - 1, 2**62, 2**63 - 25):
-        assert tc.tspp_series(order, tc.residues_mod(u)) == exact.reduced(u), u
+    # wraps.  Order 5000 fills lc = 1667 slots; a column sum and the total
+    # each add at most lc + 1 residues, and array_dtype(u * 1668) picks int16
+    # through u = 19, int32 from 20 through 1287460, int64 from 1287461
+    # through 5529599542478882 and object from 5529599542478883 on.  No
+    # modulus runs in int8 there, so the 2**7 edge is crossed at order 43
+    # (lc = 15, bound 16u): int8 through u = 7, int16 from u = 8
+    edges = {
+        (43, 7): np.int8,
+        (43, 8): np.int16,
+        (5000, 19): np.int16,
+        (5000, 20): np.int32,
+        (5000, 1287460): np.int32,
+        (5000, 1287461): np.int64,
+        (5000, 5529599542478882): np.int64,
+        (5000, 5529599542478883): object,
+    }
+    for (order, u), dtype in edges.items():
+        assert array_dtype(u * ((order + 2) // 3 + 1)) is dtype, (order, u)
+    exact = {order: tc.tspp_series(order) for order in (43, 5000)}
+    cases = [*edges, *((5000, u) for u in (2, 4, 5, 25, 125, 11, 5500, 2**31 - 1, 2**62, 2**63 - 25))]
+    for order, u in cases:
+        assert tc.tspp_series(order, tc.residues_mod(u)) == exact[order].reduced(u), (order, u)
+
+
+def test_counting_series_refuses_non_int_orders():
+    # True would expand to order 1, and a float used to fail inside numpy
+    for bad in (True, False, 7.0, "7", np.int64(7), None):
+        with pytest.raises(ValueError, match="order must be a nonnegative integer, got " + re.escape(repr(bad))):
+            tc.tspp_series(bad)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            tc.check_support(bad)
+    with pytest.raises(ValueError, match="got -1"):
+        tc.tspp_series(-1, tc.residues_mod(5))
 
 
 def test_slice_series_first_values():
@@ -87,6 +128,26 @@ def test_check_support():
     # indices 1 mod 3 do carry mass, so the check is not vacuous
     f = tc.tspp_series(50)
     assert any(f[n] for n in range(1, 51) if n % 3 == 1)
+
+
+def test_checks_report_their_first_violation(monkeypatch):
+    # f(9) sits on the vanishing support (checked sixth, after 2, 3, 5, 6, 8)
+    # and f(13) = slice(2) = 2; both checks read one corrupted expansion
+    exact = tc.tspp_series
+
+    def corrupted(order, ring=tc.INTEGERS):
+        coeffs = list(exact(order, ring).coeffs)
+        coeffs[9] += 4
+        coeffs[13] += 1
+        return tc.TruncatedSeries(ring, tuple(coeffs))
+
+    monkeypatch.setattr(tc.tspp, "tspp_series", corrupted)
+    support = tc.check_support(100)
+    assert (support.checked, support.first_violation) == (6, 9)
+    assert support.detail == "count at index 9 is 4, expected 0"
+    identity = tc.check_slice_identity(100)
+    assert (identity.checked, identity.first_violation) == (3, 13)
+    assert identity.detail == "count(13) = 3 but slice(2) = 2"
 
 
 def test_check_slice_identity():
