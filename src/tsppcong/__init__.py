@@ -66,7 +66,6 @@ from .documents import (
     parse_instance,
     published_instances,
     report_to_doc,
-    shipped_instance,
     shipped_instances,
 )
 

@@ -4,18 +4,11 @@ from __future__ import annotations
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors of {n} undefined, need n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**j for d in out for j in range(e + 1)]
+    return sorted(out)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -150,38 +150,31 @@ def load_eta_spec(path) -> EtaQuotientSpec:
     return _parse_divisor_map(doc["r"], _get_int(doc, "M", where), f"{where}.r")
 
 
-def _shipped(folder: str = "data") -> dict[str, InstanceDocument]:
-    """Every instance file in one directory of the package, by name, in
-    claim order (A, B, u)."""
-    docs = {}
+def _shipped(folder: str = "data") -> tuple[InstanceDocument, ...]:
+    """Every instance file in one directory of the package, in claim order
+    (A, B, u), ties broken by file name."""
+    named = []
     for entry in (resources.files("tsppcong") / folder).iterdir():
         if entry.name.endswith(".json"):
             name = entry.name.removesuffix(".json")
-            docs[name] = parse_instance(_read_text(entry, name), source=name)
+            named.append((name, parse_instance(_read_text(entry, name), source=name)))
 
     def claim_order(item):
         claim = item[1].claim
         return claim.step, claim.offset, claim.modulus, item[0]
 
-    return dict(sorted(docs.items(), key=claim_order))
+    return tuple(doc for _, doc in sorted(named, key=claim_order))
 
 
 def shipped_instances() -> tuple[InstanceDocument, ...]:
     """The instance documents distributed with the package, in data/."""
-    return tuple(_shipped().values())
+    return _shipped()
 
 
 def published_instances() -> tuple[InstanceDocument, ...]:
     """The published congruences that combined moduli rest on.  They live
     in data/published, apart from the shipped instances in data/."""
-    return tuple(_shipped("data/published").values())
-
-
-def shipped_instance(name: str) -> InstanceDocument:
-    docs = _shipped()
-    if name not in docs:
-        raise KeyError(f"no shipped instance {name!r}; have {tuple(docs)}")
-    return docs[name]
+    return _shipped("data/published")
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,23 @@ ORACLE_MAX = 50_000
 
 @dataclass(frozen=True)
 class ProofReport:
+    """A claim, its reduction and the certificates of its classes.
+
+    The verdict is read off them: NOT-REDUCIBLE when the reduction is
+    empty, PROVED when every certificate is VERIFIED (a claim whose classes
+    all vanish has none), FAILED otherwise.
+    """
+
     claim: CongruenceClaim
     reduction: tuple[ReductionStep, ...]
     certificates: tuple[Certificate, ...]
-    verdict: str
     detail: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        if not self.reduction:
+            return NOT_REDUCIBLE
+        return PROVED if all(c.verdict == "VERIFIED" for c in self.certificates) else FAILED
 
 
 def known_congruences() -> tuple[CongruenceClaim, ...]:
@@ -82,7 +94,7 @@ def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> Proof
     try:
         steps = reduce_claim(claim)
     except NotReducibleError as exc:
-        return ProofReport(claim, (), (), NOT_REDUCIBLE, str(exc))
+        return ProofReport(claim, (), (), str(exc))
     certificates = []
     failures = []
     for step in steps:
@@ -91,17 +103,8 @@ def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> Proof
         cert = verify_instance(build_instance(step.g_claim, hints))
         certificates.append(cert)
         if cert.verdict != "VERIFIED":
-            failures.append(
-                f"class n = 3k+{step.residue_class}: {cert.failure}"
-            )
-    verdict = PROVED if not failures else FAILED
-    return ProofReport(
-        claim,
-        steps,
-        tuple(certificates),
-        verdict,
-        "; ".join(failures) if failures else None,
-    )
+            failures.append(f"class n = 3k+{step.residue_class}: {cert.failure}")
+    return ProofReport(claim, steps, tuple(certificates), "; ".join(failures) or None)
 
 
 def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
@@ -126,7 +129,6 @@ def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
         combined,
         tuple(s for rep in reports for s in rep.reduction),
         tuple(c for rep in reports for c in rep.certificates),
-        PROVED,
         f"combined moduli {moduli}",
     )
 

@@ -202,6 +202,8 @@ def pentagonal_terms(delta: int, order: int) -> list[tuple[int, int]]:
 
 def pentagonal_series(delta: int, order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
     """The dilated Euler product prod_{n>=1}(1 - q^(delta*n)), truncated."""
+    if not (_is_int(delta) and _is_int(order)):
+        raise ValueError(f"dilation and order must be integers, got {delta!r} and {order!r}")
     if delta < 1:
         raise ValueError(f"dilation must be positive, got {delta}")
     if order < 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import floor, gcd
 from typing import NamedTuple
 
@@ -166,12 +166,13 @@ class Certificate:
     """Full transcript of one verification run.
 
     The fields are what the run computed; kappa, t_min, group_index,
-    bound_floor and verdict are properties read off them: kappa(m),
-    orbit[0], index_gamma0(N), floor(bound), and "VERIFIED" exactly when
-    failure is None.  expansion_order is the order the scan needs,
-    m*floor(bound) + max(orbit), or None when it reads no coefficient; a
-    claim that fails at n = 0 on every orbit member is decided by a shorter
-    expansion (see verify_instance).
+    bound_floor, expansion_order and verdict are properties read off them:
+    kappa(m), orbit[0], index_gamma0(N), floor(bound), the order the scan
+    needs, and "VERIFIED" exactly when failure is None.  expansion_order is
+    m*bound_floor + max(orbit) when the scan ran (checked is not empty) and
+    read a coefficient (bound_floor >= 0), else None; a claim that fails at
+    n = 0 on every orbit member is decided by a shorter expansion (see
+    verify_instance).
     """
 
     instance: VerificationInstance
@@ -179,7 +180,6 @@ class Certificate:
     admissibility: AdmissibilityReport
     cusps: tuple[CuspEntry, ...]
     bound: Fraction
-    expansion_order: int | None
     checked: tuple[ProgressionCheck, ...]
     failure: str | None
 
@@ -198,6 +198,12 @@ class Certificate:
     @property
     def bound_floor(self) -> int:
         return floor(self.bound)
+
+    @property
+    def expansion_order(self) -> int | None:
+        if not self.checked or self.bound_floor < 0:
+            return None
+        return self.instance.m * self.bound_floor + max(self.orbit)
 
     @property
     def verdict(self) -> str:
@@ -286,10 +292,20 @@ def index_gamma0(N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cusp_order_bound(rep: CosetRep, m: int, r: EtaQuotientSpec, kap: int) -> CuspBound:
+def _cusp_sum(terms, level: int, mc: int, x: int) -> int:
+    """The integer sum_d r_d * gcd(d*x, mc)^2 * (level/d) over the (d, r_d)
+    in terms.  Both cusp orders are this sum over 24*level*(mc/c)."""
+    num = 0
+    for d, rd in terms:
+        g = gcd(d * x, mc)
+        num += rd * g * g * (level // d)
+    return num
+
+
+def cusp_order_bound(rep: CosetRep, m: int, r: EtaQuotientSpec) -> CuspBound:
     """Minimum over lambda in [0, m) of
     (1/24) * sum_d r_d * gcd(d*x, m*c)^2 / (d*m),  x = a + kap*lambda*c,
-    together with the smallest minimizing lambda.
+    kap = kappa(m), together with the smallest minimizing lambda.
 
     The minimum comes from the factorization of m rather than a scan of
     every lambda.  Since ad - bc = 1, a is a unit modulo every prime l | c,
@@ -304,22 +320,12 @@ def cusp_order_bound(rep: CosetRep, m: int, r: EtaQuotientSpec, kap: int) -> Cus
     Then lambda is found by evaluating the sum from lambda = 0 upward until
     it equals that minimum, so the returned value and lambda are ones the
     scan produced.  A sum below the minimum, or none equal to it, raises
-    RuntimeError; with kap = kappa(m), which is coprime to m, neither
-    happens.
+    RuntimeError; since kap is coprime to m, neither happens.
     """
+    kap = kappa(m)
     a, c = rep.a, rep.c
-    mc = m * c
     level = r.level
-    terms = r.nonzero()
-
-    def numerator(x):
-        # the sum times 24*m*level, an integer
-        num = 0
-        for d, rd in terms:
-            g = gcd(d * x, mc)
-            num += rd * g * g * (level // d)
-        return num
-
+    numerator = partial(_cusp_sum, r.nonzero(), level, m * c)
     least = _least_over_valuation_classes(numerator, m, c)
     for lam in range(m):
         num = numerator(a + kap * lam * c)
@@ -342,14 +348,9 @@ def _least_over_valuation_classes(numerator, m: int, c: int) -> int:
 
 def aux_cusp_order(rep: CosetRep, r_prime: EtaQuotientSpec) -> Fraction:
     """(1/24) * sum over divisors d of the auxiliary level of
-    r'_d * gcd(d, c)^2 / d."""
-    c = rep.c
+    r'_d * gcd(d, c)^2 / d: the cusp sum at x = 1 modulo c."""
     level = r_prime.level
-    num = 0
-    for d, rd in r_prime.nonzero():
-        g = gcd(d, c)
-        num += rd * g * g * (level // d)
-    return Fraction(num, 24 * level)
+    return Fraction(_cusp_sum(r_prime.nonzero(), level, rep.c, 1), 24 * level)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +483,13 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     which holds the n = 0 coefficient c(t') of every orbit member.  When
     each of those is nonzero, each member's first violation is at n = 0,
     and this short series completes the certificate; otherwise the full
-    expansion is made.  Either way expansion_order records
+    expansion is made.  Either way the certificate's expansion_order reads
     m*floor(v) + max(orbit), the order the scan needs.
     """
     report = admissibility_check(instance)
-    kap = kappa(instance.m)
     cusps = []
     for rep in coset_reps(instance.N):
-        eta_ord, lam = cusp_order_bound(rep, instance.m, instance.r, kap)
+        eta_ord, lam = cusp_order_bound(rep, instance.m, instance.r)
         aux = aux_cusp_order(rep, instance.r_prime)
         cusps.append(CuspEntry(rep, eta_ord, aux, lam))
     bound = verification_bound(instance)
@@ -506,18 +506,17 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
         )
 
     checked = []
-    expansion_order = None
     if failure is None:
         # a negative bound leaves ns empty: nothing is expanded or read, and
         # every orbit member gets an empty check that passes
         ns = range(floor(bound.v) + 1)
         if ns:
-            expansion_order = instance.m * floor(bound.v) + max(members)
+            order = instance.m * floor(bound.v) + max(members)
             step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
             offset = members[0] % step
             series = _expansion(instance.r, max(members), instance.u, step, offset)
             if not all(series[(t_prime - offset) // step] for t_prime in members):
-                series = _expansion(instance.r, expansion_order, instance.u, step, offset)
+                series = _expansion(instance.r, order, instance.u, step, offset)
         for t_prime in members:
             indices = tuple(instance.m * n + t_prime for n in ns)
             violation = next((i for i in indices if series[(i - offset) // step]), None)
@@ -534,7 +533,6 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
         admissibility=report,
         cusps=tuple(cusps),
         bound=bound.v,
-        expansion_order=expansion_order,
         checked=tuple(checked),
         failure=failure,
     )

@@ -3,8 +3,9 @@
 Nothing here shares code with the package: products are expanded by naive
 truncated polynomial multiplication, partition counts come from the
 standard bounded-part recursion, and the verifier's unit squares and cusp
-minima come from trying every residue and every lambda.  These are the
-reference values the fast paths are checked against.
+minima come from trying every residue and every lambda; the auxiliary cusp
+orders are summed term by term as fractions.  These are the reference
+values the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -105,3 +106,8 @@ def cusp_scan(rep, m, r, kap):
         if best is None or value < best[0]:
             best = (value, lam)
     return best
+
+
+def aux_order(rep, r_prime):
+    """(1/24) sum_d r'_d gcd(d, c)^2 / d, summed term by term as fractions."""
+    return sum((Fraction(rd * gcd(d, rep.c) ** 2, 24 * d) for d, rd in r_prime.nonzero()), Fraction(0))

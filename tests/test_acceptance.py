@@ -55,11 +55,10 @@ def test_criterion_03_admissibility_and_cusp_conditions(instance1, instance2):
     for inst in (instance1, instance2):
         adm = tc.admissibility_check(inst)
         ok = ok and adm.passed
-        kap = tc.kappa(inst.m)
         reps = coset_reps(inst.N)
         counts.append(len(reps))
         for rep in reps:
-            total = cusp_order_bound(rep, inst.m, inst.r, kap).value + aux_cusp_order(
+            total = cusp_order_bound(rep, inst.m, inst.r).value + aux_cusp_order(
                 rep, inst.r_prime
             )
             ok = ok and total >= 0

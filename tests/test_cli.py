@@ -12,7 +12,6 @@ import pytest
 import tsppcong as tc
 from tsppcong import cli, documents
 from tsppcong.cli import main
-from tsppcong.documents import shipped_instance
 
 DATA = Path(tc.__file__).parent / "data"
 INSTANCE_PATH = str(DATA / "f_1250n_125_mod125.json")
@@ -406,10 +405,3 @@ def test_module_entry_point_runs_in_subprocess():
         check=True,
     )
     assert result.stdout == "0\t1\n1\t1\n2\t0\n3\t0\n"
-
-
-def test_shipped_instance_accessor():
-    doc = shipped_instance("f_2750n_825_mod11")
-    assert doc.claim == tc.CongruenceClaim("f", 2750, 825, 11)
-    with pytest.raises(KeyError):
-        shipped_instance("nope")

@@ -2,6 +2,7 @@
 oracle cross-checks and the regression suite."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,12 @@ from tsppcong.prover import (
 @pytest.fixture(scope="module")
 def proof_825(shipped_docs):
     doc = next(d for d in shipped_docs if d.claim.offset == 825)
+    return tc.prove_tspp_congruence(doc.claim, doc.hints)
+
+
+@pytest.fixture(scope="module")
+def proof_1925(shipped_docs):
+    doc = next(d for d in shipped_docs if d.claim.offset == 1925)
     return tc.prove_tspp_congruence(doc.claim, doc.hints)
 
 
@@ -55,13 +62,11 @@ def test_prove_mod125_claims(shipped_docs):
         assert cert.orbit == (229, 604)
 
 
-def test_prove_mod11_claims(shipped_docs, proof_825):
+def test_prove_mod11_claims(proof_825, proof_1925):
     assert proof_825.verdict == PROVED
     assert proof_825.certificates[0].bound_floor == 152
-    doc = shipped_docs[3]
-    report = tc.prove_tspp_congruence(doc.claim, doc.hints)
-    assert report.verdict == PROVED
-    assert report.certificates[0].orbit == (779, 1054)
+    assert proof_1925.verdict == PROVED
+    assert proof_1925.certificates[0].orbit == (779, 1054)
 
 
 def test_prove_not_reducible_verdict():
@@ -120,14 +125,29 @@ def test_oracle_check_rejects_foreign_rings_and_claims():
         tc.CongruenceClaim("gap", 625, 229, 125)  # the oracle is only ever handed f claims
 
 
-def test_combine_upgrade_when_citation_is_replaced(proof_825):
-    # a proof of the mod 5 part upgrades the verdict and changes nothing else
-    mod5 = ProofReport(tc.CongruenceClaim("f", 2750, 825, 5), (), (), PROVED)
-    combined = tc.combine_congruences([proof_825, mod5])
-    assert combined.verdict == PROVED
-    assert combined.claim.modulus == 55
-    assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
-    assert combined.certificates == proof_825.certificates
+def test_claim_whose_classes_all_vanish_proves_without_certificates():
+    # f(3n+2) splits into 9k+2, 9k+5 and 9k+8, all 2 (mod 3), where f vanishes
+    hints = tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 13}))
+    report = tc.prove_tspp_congruence(tc.CongruenceClaim("f", 3, 2, 7), hints)
+    assert len(report.reduction) == 3 and report.certificates == ()
+    assert report.verdict == PROVED
+
+
+def test_verdict_is_read_off_the_reduction_and_certificates(proof_825):
+    # the report stores no verdict: an empty reduction reads NOT-REDUCIBLE,
+    # and one certificate that is not VERIFIED makes the whole report FAILED
+    bare = ProofReport(proof_825.claim, (), ())
+    assert bare.verdict == NOT_REDUCIBLE
+    for reports in ([bare], [proof_825, bare]):
+        with pytest.raises(ValueError, match="verdict NOT-REDUCIBLE"):
+            tc.combine_congruences(reports)
+
+    (cert,) = proof_825.certificates
+    broken = replace(cert, failure="injected")
+    assert broken.verdict == "FAILED"
+    assert replace(proof_825, certificates=(broken,)).verdict == FAILED
+    assert replace(proof_825, certificates=(cert, broken)).verdict == FAILED
+    assert replace(proof_825, certificates=(cert, cert)).verdict == PROVED
 
 
 def test_combine_with_the_published_mod5_proof(proof_825):
@@ -137,6 +157,7 @@ def test_combine_with_the_published_mod5_proof(proof_825):
     combined = tc.combine_congruences([proof_825, mod5])
     assert combined.verdict == PROVED
     assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
+    assert combined.reduction == proof_825.reduction + mod5.reduction
     assert combined.certificates == proof_825.certificates + mod5.certificates
     assert combined.detail == "combined moduli [11, 5]"
     with pytest.raises(ValueError, match="does not contain"):
@@ -144,27 +165,31 @@ def test_combine_with_the_published_mod5_proof(proof_825):
 
 
 def test_combine_rejects_non_coprime_moduli(proof_825):
-    other = ProofReport(tc.CongruenceClaim("f", 2750, 825, 121), (), (), PROVED)
     with pytest.raises(ValueError, match="coprime"):
-        tc.combine_congruences([proof_825, other])
+        tc.combine_congruences([proof_825, proof_825])
 
 
-def test_combine_rejects_progression_mismatch(proof_825):
-    other = ProofReport(tc.CongruenceClaim("f", 2750, 1925, 5), (), (), PROVED)
-    with pytest.raises(ValueError, match="does not contain"):
-        tc.combine_congruences([proof_825, other])
+def test_combine_rejects_progression_mismatch(proof_825, proof_1925):
+    assert proof_1925.verdict == PROVED
+    with pytest.raises(ValueError, match=re.escape("f(2750n+1925) = 0 (mod 11) does not contain f(2750n+825)")):
+        tc.combine_congruences([proof_825, proof_1925])
 
 
 def test_combine_checks_citation_containment(proof_825):
     # a proved claim on a coarser progression, but the wrong residue class
-    other = ProofReport(tc.CongruenceClaim("f", 10, 3, 5), (), (), PROVED)
-    with pytest.raises(ValueError, match=re.escape("f(10n+3) = 0 (mod 5) does not contain f(2750n+825)")):
+    hints = tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 1}))
+    other = tc.prove_tspp_congruence(tc.CongruenceClaim("f", 3, 2, 5), hints)
+    assert other.verdict == PROVED
+    with pytest.raises(ValueError, match=re.escape("f(3n+2) = 0 (mod 5) does not contain f(2750n+825)")):
         tc.combine_congruences([proof_825, other])
 
 
-def test_combine_rejects_unproved_inputs(proof_825):
-    failed = ProofReport(tc.CongruenceClaim("f", 2750, 825, 5), (), (), FAILED)
-    with pytest.raises(ValueError, match="verdict"):
+def test_combine_rejects_unproved_inputs(shipped_docs, proof_825):
+    # N = 5 fails admissibility, so this is a real FAILED report
+    hints = tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 13}))
+    failed = tc.prove_tspp_congruence(shipped_docs[0].claim, hints)
+    assert failed.verdict == FAILED
+    with pytest.raises(ValueError, match="verdict FAILED"):
         tc.combine_congruences([proof_825, failed])
     with pytest.raises(ValueError):
         tc.combine_congruences([])

@@ -66,6 +66,11 @@ def test_pentagonal_series_rejects_bad_arguments():
         tc.pentagonal_series(0, 5)
     with pytest.raises(ValueError):
         tc.pentagonal_series(1, -1)
+    # a bool is not an int here: True would dilate by 1, and a float order
+    # would fail inside list repetition with a TypeError
+    for delta, order in ((True, 3), (1, True), (2.0, 3), (1, 2.0), ("3", 3), (1, "3")):
+        with pytest.raises(ValueError, match="must be integers"):
+            tc.pentagonal_series(delta, order)
 
 
 # ---------------------------------------------------------------------------

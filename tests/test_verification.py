@@ -177,7 +177,7 @@ def test_index_gamma0_multiplicative_on_coprime_parts():
 
 def test_cusp_order_bound_instance1_at_c10(instance1):
     rep = tc.CosetRep(1, 0, 10, 1)
-    value, lam = cusp_order_bound(rep, instance1.m, instance1.r, tc.kappa(instance1.m))
+    value, lam = cusp_order_bound(rep, instance1.m, instance1.r)
     assert value == Fraction(1, 3750)
     assert lam == 0
     # the scan is flat here: every lambda gives the same value
@@ -192,7 +192,7 @@ def test_cusp_order_bound_instance1_at_c10(instance1):
 
 def test_cusp_order_bound_trivial_case():
     rep = tc.CosetRep(1, 0, 1, 1)
-    value, lam = cusp_order_bound(rep, 1, tc.EtaQuotientSpec(1, {1: 1}), tc.kappa(1))
+    value, lam = cusp_order_bound(rep, 1, tc.EtaQuotientSpec(1, {1: 1}))
     assert value == Fraction(1, 24)
     assert lam == 0
 
@@ -201,7 +201,7 @@ def test_cusp_order_bound_scan_order_independent(instance2):
     # recompute the minimum with the loop reversed; the value must not change
     kap = tc.kappa(instance2.m)
     for rep in coset_reps(instance2.N):
-        forward = cusp_order_bound(rep, instance2.m, instance2.r, kap)
+        forward = cusp_order_bound(rep, instance2.m, instance2.r)
         mc = instance2.m * rep.c
         best = None
         for lam in reversed(range(instance2.m)):
@@ -248,32 +248,31 @@ def cusp_cases(draw):
 @settings(deadline=None, max_examples=300)
 def test_cusp_order_bound_matches_forward_scan(case):
     rep, m, r = case
-    kap = tc.kappa(m)
-    assert tuple(cusp_order_bound(rep, m, r, kap)) == oracles.cusp_scan(rep, m, r, kap)
+    assert tuple(cusp_order_bound(rep, m, r)) == oracles.cusp_scan(rep, m, r, tc.kappa(m))
 
 
 @pytest.mark.parametrize("shift,message", [(-1, "no lambda"), (1, "is below its minimum")])
 def test_cusp_order_bound_raises_on_a_wrong_minimum(instance2, monkeypatch, shift, message):
     least = verification._least_over_valuation_classes
     monkeypatch.setattr(verification, "_least_over_valuation_classes", lambda *args: least(*args) + shift)
-    kap = tc.kappa(instance2.m)
     for rep in coset_reps(instance2.N):
         with pytest.raises(RuntimeError, match=message):
-            cusp_order_bound(rep, instance2.m, instance2.r, kap)
+            cusp_order_bound(rep, instance2.m, instance2.r)
 
 
-def test_cusp_order_bound_raises_when_kappa_shares_a_prime_with_m():
-    # x = 1 + 5*lambda is a unit mod 5 for every lambda, so the least class,
-    # x divisible by 5, is never reached
+def test_cusp_order_bound_raises_when_kappa_shares_a_prime_with_m(monkeypatch):
+    # kappa(m) divides m^2 - 1, so it is coprime to m; a kappa of 5 at m = 5,
+    # injected here, makes x = 1 + 5*lambda a unit mod 5 for every lambda, so
+    # the least class, x divisible by 5, is never reached
+    monkeypatch.setattr(verification, "kappa", lambda m: 5)
     with pytest.raises(RuntimeError, match="no lambda"):
-        cusp_order_bound(tc.CosetRep(1, 0, 1, 1), 5, tc.EtaQuotientSpec(1, {1: -1}), 5)
+        cusp_order_bound(tc.CosetRep(1, 0, 1, 1), 5, tc.EtaQuotientSpec(1, {1: -1}))
 
 
 def test_instance2_cusp_table(instance2):
-    kap = tc.kappa(instance2.m)
     table = {}
     for rep in coset_reps(instance2.N):
-        bound = cusp_order_bound(rep, instance2.m, instance2.r, kap)
+        bound = cusp_order_bound(rep, instance2.m, instance2.r)
         table[rep.c] = (bound.value, bound.lam, aux_cusp_order(rep, instance2.r_prime))
     assert table == {
         1: (Fraction(-125, 528), 26, Fraction(1, 4)),
@@ -293,6 +292,14 @@ def test_aux_cusp_order(instance1):
         assert aux_cusp_order(rep, instance1.r_prime) == Fraction(13, 24)
     zero = tc.EtaQuotientSpec(10, {})
     assert aux_cusp_order(tc.CosetRep(1, 0, 2, 1), zero) == 0
+
+
+@given(case=cusp_cases().filter(lambda case: case[0].a != 1))
+@settings(deadline=None, max_examples=200)
+def test_aux_cusp_order_matches_oracle(case):
+    # the auxiliary order reads only c, whatever a the representative has
+    rep, _, r_prime = case
+    assert aux_cusp_order(rep, r_prime) == oracles.aux_order(rep, r_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +412,15 @@ def test_verifier_expands_only_the_progression_it_reads(monkeypatch):
 
     monkeypatch.setattr(tc.verification, "eta_quotient", recording)
     clear_expansion_cache()
-    for name in ("f_1250n_125_mod125", "f_1250n_1125_mod125"):
-        doc = tc.shipped_instance(name)
-        assert tc.prove_tspp_congruence(doc.claim, doc.hints).verdict == "PROVED"
+    hints = {doc.claim: doc.hints for doc in tc.shipped_instances()}
+    for offset in (125, 1125):
+        claim = tc.CongruenceClaim("f", 1250, offset, 125)
+        assert tc.prove_tspp_congruence(claim, hints[claim]).verdict == "PROVED"
     info = tc.verification._expansion.cache_info()
     assert (info.misses, info.hits) == (2, 2)
-    for name in ("f_2750n_825_mod11", "f_2750n_1925_mod11"):
-        doc = tc.shipped_instance(name)
-        assert tc.prove_tspp_congruence(doc.claim, doc.hints).verdict == "PROVED"
+    for offset in (825, 1925):
+        claim = tc.CongruenceClaim("f", 2750, offset, 11)
+        assert tc.prove_tspp_congruence(claim, hints[claim]).verdict == "PROVED"
     info = tc.verification._expansion.cache_info()
     assert (info.misses, info.hits) == (4, 4)
     assert lengths == [5, 425, 4, 764]
@@ -583,9 +591,8 @@ def test_decision_path_is_float_free(instance1, instance2):
         assert all(type(s) is int for s in tc.squares_mod(24 * inst.m))
         assert_no_floats(report)
         assert_no_floats(bound.v)
-        kap = tc.kappa(inst.m)
         for rep in coset_reps(inst.N):
-            cb = cusp_order_bound(rep, inst.m, inst.r, kap)
+            cb = cusp_order_bound(rep, inst.m, inst.r)
             assert isinstance(cb, CuspBound)
             assert isinstance(cb.value, Fraction)
             assert type(cb.lam) is int
