@@ -55,7 +55,10 @@ def _read_text(path, where: str) -> str:
 
 def _read_json(text: str, where: str):
     """Parse JSON text, refusing a repeated key: json.loads alone keeps the
-    last value, so a second "u" would silently override the first."""
+    last value, so a second "u" would silently override the first.  Every
+    failure names where: json.loads also raises a bare ValueError for an
+    integer literal past Python's digit limit, and RecursionError for
+    nesting past the recursion limit."""
 
     def unique_keys(pairs):
         obj = {}
@@ -67,7 +70,9 @@ def _read_json(text: str, where: str):
 
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except DocumentError:
+        raise
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise DocumentError(f"not valid JSON: {exc}", where)
 
 

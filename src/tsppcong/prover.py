@@ -12,6 +12,7 @@ are proved the same way, from the files in data/published.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -41,23 +42,46 @@ ORACLE_MAX = 50_000
 
 @dataclass(frozen=True)
 class ProofReport:
-    """A claim, its reduction and the certificates of its classes.
+    """A claim, its reduction and the certificates of the classes the
+    reduction leaves to verify, one per class in the reduction's order.
+    reason is stored only for an empty reduction: the NotReducibleError
+    text.
 
-    The verdict is read off them: NOT-REDUCIBLE when the reduction is
-    empty, PROVED when every certificate is VERIFIED (a claim whose classes
-    all vanish has none), FAILED otherwise.
+    The verdict and the detail are read off the pairs of a class to verify
+    and its certificate.  The verdict is NOT-REDUCIBLE when the reduction is
+    empty.  It is PROVED when there are as many certificates as classes to
+    verify, each VERIFIED, and each for its own class: its instance is
+    build_instance(class, certificate.instance), the same m, t, r and u with
+    the certificate's own r'.  A claim whose classes all vanish needs none.
+    Otherwise it is FAILED, and the detail says why.
     """
 
     claim: CongruenceClaim
     reduction: tuple[ReductionStep, ...]
     certificates: tuple[Certificate, ...]
-    detail: str | None = None
+    reason: str | None = None
+
+    @cached_property
+    def detail(self) -> str | None:
+        """None for a PROVED report; otherwise the reason, or why the
+        certificates do not match the classes, or each class's failure."""
+        if not self.reduction:
+            return self.reason
+        classes = [step for step in self.reduction if step.g_claim is not None]
+        if len(classes) != len(self.certificates):
+            return f"{len(self.certificates)} certificate(s) for {len(classes)} class(es) to verify"
+        pairs = list(zip(classes, self.certificates))
+        stray = next((s for s, c in pairs if c.instance != build_instance(s.g_claim, c.instance)), None)
+        if stray is not None:
+            return f"class n = 3k+{stray.residue_class}: its certificate is for another instance"
+        failures = [f"class n = 3k+{s.residue_class}: {c.failure}" for s, c in pairs if c.verdict != "VERIFIED"]
+        return "; ".join(failures) or None
 
     @property
     def verdict(self) -> str:
         if not self.reduction:
             return NOT_REDUCIBLE
-        return PROVED if all(c.verdict == "VERIFIED" for c in self.certificates) else FAILED
+        return PROVED if self.detail is None else FAILED
 
 
 def known_congruences() -> tuple[CongruenceClaim, ...]:
@@ -86,32 +110,31 @@ def build_instance(g_claim: tspp.SliceClaim, hints: InstanceHints) -> Verificati
 
 
 def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> ProofReport:
-    """Reduce a counting-sequence claim and verify every non-trivial branch.
+    """Reduce a counting-sequence claim and verify each class the reduction
+    leaves to verify, with the same hints for all of them.
 
-    The verdict is PROVED exactly when each residue class is either closed by
-    the vanishing support or by a VERIFIED certificate.
+    The report pairs each such class with its certificate; it is PROVED
+    exactly when every residue class is closed, by the vanishing support or
+    by a VERIFIED certificate.
     """
     try:
         steps = reduce_claim(claim)
     except NotReducibleError as exc:
         return ProofReport(claim, (), (), str(exc))
-    certificates = []
-    failures = []
-    for step in steps:
-        if step.g_claim is None:
-            continue
-        cert = verify_instance(build_instance(step.g_claim, hints))
-        certificates.append(cert)
-        if cert.verdict != "VERIFIED":
-            failures.append(f"class n = 3k+{step.residue_class}: {cert.failure}")
-    return ProofReport(claim, steps, tuple(certificates), "; ".join(failures) or None)
+    certificates = tuple(
+        verify_instance(build_instance(step.g_claim, hints)) for step in steps if step.g_claim is not None
+    )
+    return ProofReport(claim, steps, certificates)
 
 
 def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
     """Chinese-remainder combination of proved congruences on one progression.
 
-    The target is the first report's progression; every report's claim must
-    contain it, and the moduli must be pairwise coprime.
+    The target is the first report's progression; every report must be
+    PROVED, every report's claim must contain the target, and the moduli
+    must be pairwise coprime, or ValueError says which does not hold.  The
+    result carries every report's classes and certificates in order, so its
+    verdict is read off the same pairs.
     """
     if not reports:
         raise ValueError("need at least one proved report to combine")
@@ -119,18 +142,14 @@ def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
     moduli = [rep.claim.modulus for rep in reports]
     for rep in reports:
         if rep.verdict != PROVED:
-            raise ValueError(f"cannot combine a report with verdict {rep.verdict}")
+            raise ValueError(f"{rep.claim.describe()} has verdict {rep.verdict}: {rep.detail}")
         if not rep.claim.contains(target):
             raise ValueError(f"{rep.claim.describe()} does not contain {target.describe()}")
     if lcm(*moduli) != prod(moduli):
         raise ValueError(f"moduli {moduli} are not pairwise coprime")
     combined = CongruenceClaim("f", target.step, target.offset, prod(moduli))
-    return ProofReport(
-        combined,
-        tuple(s for rep in reports for s in rep.reduction),
-        tuple(c for rep in reports for c in rep.certificates),
-        f"combined moduli {moduli}",
-    )
+    reduction = tuple(s for rep in reports for s in rep.reduction)
+    return ProofReport(combined, reduction, tuple(c for rep in reports for c in rep.certificates))
 
 
 def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport:
@@ -160,8 +179,10 @@ def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport
 
 @dataclass(frozen=True)
 class SuiteEntry:
+    """One row of the regression suite: it passed or failed, and why."""
+
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     detail: str
 
 
@@ -171,7 +192,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.status != "fail" for e in self.entries)
+        return all(e.status == "pass" for e in self.entries)
 
 
 def _entry_from_check(report: CheckReport) -> SuiteEntry:
@@ -196,11 +217,12 @@ def regression_suite() -> SuiteReport:
     * the proof of each instance claim;
     * for each published claim (data/published) that contains an instance
       claim with a coprime modulus, the combined congruence on that claim's
-      progression: it proves the published claim, once for all its rows,
-      and fails if that proof does, and it is skipped if the instance proof
-      failed.
+      progression: combine_congruences of the two proofs, which fails with
+      its ValueError when either proof is not PROVED.
 
-    data/published is read once."""
+    One table holds the proofs: the instance claims, then each published
+    claim that carries a combined row, each distinct claim proved once, in
+    that order.  data/published is read once."""
     docs = documents.shipped_instances()
     published = documents.published_instances()
     known = _known(published)
@@ -235,29 +257,25 @@ def regression_suite() -> SuiteReport:
     counts = tspp_series(ORACLE_MAX, ring)
     entries += [_entry_from_check(oracle_check(claim, counts)) for claim in oracle_claims]
 
-    proved: dict[CongruenceClaim, ProofReport] = {}
+    proofs: dict[CongruenceClaim, ProofReport] = {}
+    for doc in (*docs, *(pub for pub, _, _ in combinations)):
+        if doc.claim not in proofs:  # one proof serves every row it carries
+            proofs[doc.claim] = prove_tspp_congruence(doc.claim, doc.hints)
     for doc in docs:
         name = f"proof {doc.claim.describe()}"
-        report = prove_tspp_congruence(doc.claim, doc.hints)
+        report = proofs[doc.claim]
         if report.verdict == PROVED:
             floors = sorted({c.bound_floor for c in report.certificates})
             entries.append(SuiteEntry(name, "pass", f"bound floor {floors}"))
-            proved[doc.claim] = report
         else:
-            entries.append(SuiteEntry(name, "fail", report.detail or report.verdict))
+            entries.append(SuiteEntry(name, "fail", report.detail))
 
-    published_proofs: dict[CongruenceClaim, ProofReport] = {}
     for pub, claim, target in combinations:
         name = f"combined {target.describe()}"
-        if pub.claim not in published_proofs:  # one proof serves every row it carries
-            published_proofs[pub.claim] = prove_tspp_congruence(pub.claim, pub.hints)
-        report = published_proofs[pub.claim]
-        if report.verdict != PROVED:
-            entries.append(SuiteEntry(name, "fail", f"proof {pub.claim.describe()}: {report.detail}"))
-        elif claim not in proved:
-            entries.append(SuiteEntry(name, "skip", f"mod {claim.modulus} proof unavailable"))
-        else:
-            combined = combine_congruences([proved[claim], report])
+        try:
+            combined = combine_congruences([proofs[claim], proofs[pub.claim]])
             entries.append(SuiteEntry(name, "pass", f"verdict {combined.verdict}"))
+        except ValueError as exc:
+            entries.append(SuiteEntry(name, "fail", str(exc)))
 
     return SuiteReport(tuple(entries))

@@ -12,6 +12,7 @@ verifier in the verification module consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,12 +174,15 @@ def slice_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSerie
     return eta_quotient(EtaQuotientSpec(2, {1: -2, 2: 3}), order, ring)
 
 
+@lru_cache(maxsize=64, typed=True)
 def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     """Exponent vector of the slice variant for the modulus p**alpha.
 
     Over the divisors (1, 2, p, 2p) the exponents are
     (p**alpha - 2, 3, -p**(alpha-1), 0).  For p = 2 the divisors 2 and p
-    coincide and the two exponents merge onto level 4.
+    coincide and the two exponents merge onto level 4.  The spec is
+    immutable, so one is built per (alpha, p) and shared: each proof builds
+    it once for the verifier and once more to check each certificate.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
@@ -242,10 +246,12 @@ def check_slice_identity(order: int) -> CheckReport:
 def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
     """Split a claim along n mod 3 and rewrite it in slice-variant terms.
 
-    Classes whose indices land on the vanishing support are closed outright.
-    A remaining class must have indices of the shape 6(mk+t)+1; it then
-    yields the SliceClaim "g[alpha,p](mk+t) = 0 (mod u)" with p**alpha = u.
-    Anything else cannot be handled and raises NotReducibleError.
+    Classes whose indices land on the vanishing support, the indices n >= 1
+    with n != 1 (mod 3), are closed outright; a class that starts at index
+    0, where f(0) = 1, cannot be.  A remaining class must have indices of
+    the shape 6(mk+t)+1; it then yields the SliceClaim
+    "g[alpha,p](mk+t) = 0 (mod u)" with p**alpha = u.  Anything else cannot
+    be handled and raises NotReducibleError.
     """
     pp = prime_power(claim.modulus)
     if pp is None:
@@ -255,6 +261,8 @@ def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
     steps = []
     for r3 in (0, 1, 2):
         b = claim.step * r3 + claim.offset
+        if b == 0:
+            raise NotReducibleError(f"class n = 3k+{r3}: the progression contains index 0, and f(0) = 1")
         if b % 3 != 1:
             steps.append(
                 ReductionStep(r3, big_step, b, f"indices are {b % 3} (mod 3), where the count vanishes")

@@ -295,6 +295,23 @@ def test_prove_not_reducible_exits_3(tmp_path, capsys):
     assert "NOT-REDUCIBLE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("claim", [(3, 0, 5), (6, 0, 7), (9, 0, 4)])
+def test_prove_progression_through_index_0_exits_3(claim, tmp_path, capsys):
+    # f(0) = 1: the class n = 3k+0 of f(An) is not closed by the vanishing support
+    A, B, u = claim
+    path = write_instance(
+        tmp_path,
+        {"claim": {"sequence": "f", "A": A, "B": B, "u": u}, "hints": {"N": 10, "r_prime": {"1": 1}}},
+    )
+    out = tmp_path / "c.json"
+    assert main(["prove", "--instance", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"f({A}n+0) = 0 (mod {u}): NOT-REDUCIBLE\n"
+    assert "the progression contains index 0, and f(0) = 1" in captured.err
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (payload["verdict"], payload["certificates"]) == ("NOT-REDUCIBLE", [])
+
+
 def test_prove_failed_verification_exits_3(tmp_path, capsys):
     # without the auxiliary factor a cusp bound goes negative
     path = write_instance(
@@ -375,6 +392,29 @@ def prove_undecodable_instance_names_file(tmp_path, monkeypatch):
     return argv, f"{path}: 'utf-8' codec can't decode"
 
 
+def prove_instance_with_a_huge_integer(tmp_path, monkeypatch):
+    # json refuses an integer literal of more than 4 300 digits with a bare ValueError
+    path = tmp_path / "huge.json"
+    claim = '{"sequence": "f", "A": 1%s, "B": 5, "u": 5}' % ("0" * 4300)
+    path.write_text('{"claim": %s, "hints": {"N": 10, "r_prime": {"1": 1}}}' % claim, encoding="utf-8")
+    argv = ["prove", "--instance", str(path), "--out", str(tmp_path / "c.json")]
+    return argv, f"{path}: not valid JSON: Exceeds the limit (4300 digits)"
+
+
+def expand_spec_with_a_huge_integer(tmp_path, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text('{"M": 2, "r": {"1": -2, "2": 3%s}}' % ("0" * 4300), encoding="utf-8")
+    argv = ["expand", "--seq", "eta", "--spec", str(path), "--order", "3"]
+    return argv, f"{path}: not valid JSON: Exceeds the limit (4300 digits)"
+
+
+def prove_instance_nested_past_the_recursion_limit(tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = ["prove", "--instance", str(path), "--out", str(tmp_path / "c.json")]
+    return argv, f"{path}: not valid JSON: maximum recursion depth exceeded"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -385,6 +425,9 @@ def prove_undecodable_instance_names_file(tmp_path, monkeypatch):
         regress_undecodable_data_file,
         expand_undecodable_spec,
         prove_undecodable_instance_names_file,
+        prove_instance_with_a_huge_integer,
+        expand_spec_with_a_huge_integer,
+        prove_instance_nested_past_the_recursion_limit,
     ],
 )
 def test_refused_input_exits_2_from_every_command(case, tmp_path, capsys, monkeypatch):

@@ -30,6 +30,13 @@ def proof_1925(shipped_docs):
     return tc.prove_tspp_congruence(doc.claim, doc.hints)
 
 
+@pytest.fixture(scope="module")
+def proof_mod5():
+    # f(10n+5) = 0 (mod 5) leaves one class to verify, n = 3k+2
+    (doc,) = [d for d in tc.published_instances() if d.claim.modulus == 5]
+    return tc.prove_tspp_congruence(doc.claim, doc.hints)
+
+
 def test_shipped_instances_parse(shipped_docs):
     claims = [(d.claim.step, d.claim.offset, d.claim.modulus) for d in shipped_docs]
     assert claims == [
@@ -136,32 +143,65 @@ def test_claim_whose_classes_all_vanish_proves_without_certificates():
 def test_verdict_is_read_off_the_reduction_and_certificates(proof_825):
     # the report stores no verdict: an empty reduction reads NOT-REDUCIBLE,
     # and one certificate that is not VERIFIED makes the whole report FAILED
-    bare = ProofReport(proof_825.claim, (), ())
-    assert bare.verdict == NOT_REDUCIBLE
+    bare = ProofReport(proof_825.claim, (), (), "no reduction")
+    assert (bare.verdict, bare.detail) == (NOT_REDUCIBLE, "no reduction")
     for reports in ([bare], [proof_825, bare]):
-        with pytest.raises(ValueError, match="verdict NOT-REDUCIBLE"):
+        with pytest.raises(ValueError, match=re.escape("(mod 11) has verdict NOT-REDUCIBLE: no reduction")):
             tc.combine_congruences(reports)
 
     (cert,) = proof_825.certificates
     broken = replace(cert, failure="injected")
     assert broken.verdict == "FAILED"
-    assert replace(proof_825, certificates=(broken,)).verdict == FAILED
-    assert replace(proof_825, certificates=(cert, broken)).verdict == FAILED
-    assert replace(proof_825, certificates=(cert, cert)).verdict == PROVED
+    report = replace(proof_825, certificates=(broken,))
+    assert (report.verdict, report.detail) == (FAILED, "class n = 3k+2: injected")
+    assert proof_825.detail is None
 
 
-def test_combine_with_the_published_mod5_proof(proof_825):
+def test_certificates_must_match_the_classes_one_to_one(proof_mod5, proof_825):
+    # each class to verify needs exactly one VERIFIED certificate of its own
+    # instance; a certificate that is VERIFIED for another claim does not count
+    (cert,) = proof_mod5.certificates
+    assert proof_mod5.verdict == PROVED and proof_825.verdict == PROVED
+    for certificates, detail in (
+        ((), "0 certificate(s) for 1 class(es) to verify"),
+        ((cert, cert), "2 certificate(s) for 1 class(es) to verify"),
+        (proof_825.certificates, "class n = 3k+2: its certificate is for another instance"),
+    ):
+        report = replace(proof_mod5, certificates=certificates)
+        assert (report.verdict, report.detail) == (FAILED, detail)
+        message = f"f(10n+5) = 0 (mod 5) has verdict FAILED: {detail}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tc.combine_congruences([report])
+
+    # the hints may differ (r' is the certificate's own); the class may not
+    other_hints = tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 2}))
+    (other,) = tc.prove_tspp_congruence(proof_mod5.claim, other_hints).certificates
+    assert other.verdict == "VERIFIED"
+    assert replace(proof_mod5, certificates=(other,)).verdict == PROVED
+    shifted = replace(other, instance=replace(other.instance, t=(other.instance.t + 1) % other.instance.m))
+    assert replace(proof_mod5, certificates=(shifted,)).verdict == FAILED
+
+
+@pytest.mark.parametrize("claim", [(3, 0, 5), (6, 0, 7), (9, 0, 4)])
+def test_progression_through_index_0_is_not_reducible(claim):
+    # f(0) = 1, so class n = 3k+0 of f(An) is never zero, although its
+    # indices are 0 (mod 3)
+    hints = tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 1}))
+    report = tc.prove_tspp_congruence(tc.CongruenceClaim("f", *claim), hints)
+    assert report.verdict == NOT_REDUCIBLE
+    assert report.detail == "class n = 3k+0: the progression contains index 0, and f(0) = 1"
+
+
+def test_combine_with_the_published_mod5_proof(proof_825, proof_mod5):
     # f(10n+5) = 0 (mod 5) contains the target progression f(2750n+825)
-    (doc,) = [d for d in tc.published_instances() if d.claim.modulus == 5]
-    mod5 = tc.prove_tspp_congruence(doc.claim, doc.hints)
-    combined = tc.combine_congruences([proof_825, mod5])
+    combined = tc.combine_congruences([proof_825, proof_mod5])
     assert combined.verdict == PROVED
     assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
-    assert combined.reduction == proof_825.reduction + mod5.reduction
-    assert combined.certificates == proof_825.certificates + mod5.certificates
-    assert combined.detail == "combined moduli [11, 5]"
+    assert combined.reduction == proof_825.reduction + proof_mod5.reduction
+    assert combined.certificates == proof_825.certificates + proof_mod5.certificates
+    assert combined.detail is None
     with pytest.raises(ValueError, match="does not contain"):
-        tc.combine_congruences([mod5, proof_825])  # the target is the first report's
+        tc.combine_congruences([proof_mod5, proof_825])  # the target is the first report's
 
 
 def test_combine_rejects_non_coprime_moduli(proof_825):
@@ -182,6 +222,35 @@ def test_combine_checks_citation_containment(proof_825):
     assert other.verdict == PROVED
     with pytest.raises(ValueError, match=re.escape("f(3n+2) = 0 (mod 5) does not contain f(2750n+825)")):
         tc.combine_congruences([proof_825, other])
+
+
+# f(50n+B) = 0 (mod 4) reduces to m = 25 over the level-4 variant g[2,2];
+# with N = 10 and r' = 0: the bound floor, and for B = 25 the first violation
+# (t', slice index) and the first index where the counting series refutes it
+MOD4_CLAIMS = {5: (1, None), 15: (1, None), 25: (2, (4, 4)), 35: (1, None), 45: (1, None)}
+
+
+@pytest.fixture(scope="module")
+def counts_mod4():
+    return tc.tspp_series(tc.prover.ORACLE_MAX, tc.residues_mod(4))
+
+
+@pytest.mark.parametrize("offset", sorted(MOD4_CLAIMS))
+def test_prove_mod4_claims_through_the_level_4_variant(offset, counts_mod4):
+    claim = tc.CongruenceClaim("f", 50, offset, 4)
+    report = tc.prove_tspp_congruence(claim, tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 0})))
+    (cert,) = report.certificates
+    assert (cert.instance.m, cert.instance.r) == (25, tc.slice_variant_spec(2, 2))
+    floor, violation = MOD4_CLAIMS[offset]
+    assert cert.bound_floor == floor
+    oracle = tc.oracle_check(claim, counts_mod4)
+    if violation is None:
+        assert report.verdict == PROVED
+        assert (oracle.passed, oracle.checked) == (True, 1000)
+    else:
+        assert report.verdict == FAILED
+        assert [(c.t_prime, c.first_violation) for c in cert.checked] == [violation]
+        assert oracle.first_violation == offset  # f(25) = 1 (mod 4)
 
 
 def test_combine_rejects_unproved_inputs(shipped_docs, proof_825):
@@ -292,9 +361,17 @@ def test_regression_suite_derives_combinations(shipped_docs, monkeypatch):
         shipped_docs[2].claim, tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 6}))
     )
     _, suite = rows([broken])
-    assert [(e.name, e.status, e.detail) for e in suite.entries if e.name.startswith("combined")] == [
-        ("combined f(2750n+825) = 0 (mod 55)", "skip", "mod 11 proof unavailable")
+    failure = (
+        "class n = 3k+2: admissibility condition failed: m_primes_divide_group_level, "
+        "eta_divisors_divide_mN, kappa_weighted_sum_divisible_by_24"
+    )
+    # the combined row is combine_congruences' refusal, naming the failed proof
+    assert [(e.name, e.status, e.detail) for e in suite.entries if e.status != "pass"] == [
+        ("proof f(2750n+825) = 0 (mod 11)", "fail", failure),
+        ("combined f(2750n+825) = 0 (mod 55)", "fail",
+         f"f(2750n+825) = 0 (mod 11) has verdict FAILED: {failure}"),
     ]
+    assert not suite.passed
 
     names, suite = rows(shipped_docs[:2])
     assert suite.passed

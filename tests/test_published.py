@@ -49,7 +49,7 @@ def test_failed_published_proof_fails_regress(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     # name "combined f(...) = 0 (mod 55)", status, detail
     combined = [row.split(None, 7) for row in rows if row.startswith("combined")]
-    detail = "proof f(10n+5) = 0 (mod 5): class n = 3k+2: cusp bound negative at c=1: -1/240"
+    detail = "f(10n+5) = 0 (mod 5) has verdict FAILED: class n = 3k+2: cusp bound negative at c=1: -1/240"
     assert [(row[1], row[6], row[7]) for row in combined] == [
         ("f(2750n+825)", "FAIL", detail),
         ("f(2750n+1925)", "FAIL", detail),
@@ -73,7 +73,8 @@ def test_neighbouring_class_is_not_proved(tmp_path, capsys):
 
 def test_package_data_ships_every_data_file():
     tomllib = pytest.importorskip("tomllib")
-    pyproject = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    # the checkout's pyproject, also when the package under test is installed
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     globs = pyproject["tool"]["setuptools"]["package-data"]["tsppcong"]
     files = [path.relative_to(PACKAGE) for path in (PACKAGE / "data").rglob("*") if path.is_file()]
     assert files

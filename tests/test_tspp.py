@@ -263,7 +263,7 @@ def test_reduce_claim_rejects_4_mod_6_branch():
 
 def test_reduce_claim_rejects_step_not_divisible_by_6():
     with pytest.raises(tc.NotReducibleError, match="not divisible by 6"):
-        tc.reduce_claim(tc.CongruenceClaim("f", 1, 0, 5))
+        tc.reduce_claim(tc.CongruenceClaim("f", 3, 1, 5))
 
 
 def test_reduce_claim_only_accepts_counting_sequence():
