@@ -24,6 +24,7 @@ from .tspp import (
     SliceClaim,
     check_slice_identity,
     check_support,
+    check_variant_congruence,
     reduce_claim,
     slice_series,
     slice_variant_series,

@@ -99,7 +99,8 @@ def residues_mod(u: int) -> CoefficientRing:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients of a formal power series through q**order inclusive."""
+    """Coefficients of a formal power series through q**order inclusive;
+    every coefficient must be an int other than a bool."""
 
     ring: CoefficientRing
     coeffs: tuple[int, ...]
@@ -108,6 +109,10 @@ class TruncatedSeries:
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("a truncated series carries at least the q^0 coefficient")
+        # one pass over the types; _is_int only runs when some type is not int
+        bad = [] if set(map(type, coeffs)) == {int} else [c for c in coeffs if not _is_int(c)]
+        if bad:
+            raise ValueError(f"every coefficient must be an integer, got {bad[0]!r}")
         u = self.ring.modulus
         if u is not None and (min(coeffs) < 0 or max(coeffs) >= u):
             coeffs = tuple(c % u for c in coeffs)
@@ -341,8 +346,10 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
     """a**e truncated at a.order; e == 0 gives the constant series 1.
 
     Binary powering, about 2*log2|e| products; negative exponents invert
-    first (unit constant term required).
+    first (unit constant term required).  e must be an int other than a bool.
     """
+    if not _is_int(e):
+        raise ValueError(f"exponent must be an integer, got {e!r}")
     result = TruncatedSeries(a.ring, (1,) + (0,) * a.order)
     base = invert(a) if e < 0 else a
     e = abs(e)

@@ -23,6 +23,7 @@ from .series import (
     EtaQuotientSpec,
     TruncatedSeries,
     _is_int,
+    _sparse_passes,
     array_dtype,
     eta_quotient,
 )
@@ -165,13 +166,17 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     return TruncatedSeries(ring, tuple(out))
 
 
+# the slice series (q^2; q^2)^3 / (q; q)^2
+SLICE_SPEC = EtaQuotientSpec(2, {1: -2, 2: 3})
+
+
 def slice_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
-    """The eta quotient (q^2; q^2)^3 / (q; q)^2.
+    """The eta quotient SLICE_SPEC, (q^2; q^2)^3 / (q; q)^2.
 
     Its n-th coefficient equals the shell partition count at index 6n+1,
     which check_slice_identity exercises.
     """
-    return eta_quotient(EtaQuotientSpec(2, {1: -2, 2: 3}), order, ring)
+    return eta_quotient(SLICE_SPEC, order, ring)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -184,6 +189,8 @@ def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     immutable, so one is built per (alpha, p) and shared: each proof builds
     it once for the verifier and once more to check each certificate.
     """
+    if not (_is_int(alpha) and _is_int(p)):
+        raise ValueError(f"alpha and p must be integers, got {alpha!r} and {p!r}")
     if alpha < 1:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
     if not is_prime(p):
@@ -236,6 +243,47 @@ def check_slice_identity(order: int) -> CheckReport:
                     f"count({6 * n + 1}) = {count} but slice({n}) = {slice_n}",
                 )
     return CheckReport("slice-identity", checked, None, f"n <= {top}")
+
+
+def check_variant_congruence(alpha: int, p: int) -> CheckReport:
+    """Prove g[alpha,p] = g (mod u), u = p**alpha, for the spec the verifier
+    expands, by one polynomial identity.
+
+    The variant divided by the slice series is prod_d (q^d; q^d)^e_d, with e
+    the exponents of slice_variant_spec(alpha, p) minus those of SLICE_SPEC.
+    That is prod_{n>=1} L(q^n) / R(q^n) for the polynomials
+    L = prod_{e_d>0} (1 - x^d)^e_d and R = prod_{e_d<0} (1 - x^d)^-e_d.  If
+    L = R (mod u), then L / R lies in 1 + u*Z[[x]], since R(0) = 1, so the
+    product does too and the variant is congruent to g mod u.  For every
+    prime p and alpha >= 1, e is {1: p**alpha, p: -p**(alpha-1)} and the
+    identity reads (1-q)^(p**alpha) = (1-q^p)^(p**(alpha-1)) (mod p**alpha).
+    L and R are expanded exactly over Z through the larger of their degrees;
+    the report names the identity, or the first coefficient where the two
+    differ mod u.
+    """
+    ratio = dict(slice_variant_spec(alpha, p).exponents)
+    for d, e in SLICE_SPEC.exponents:
+        ratio[d] -= e
+    sides = [(d, e) for d, e in ratio.items() if e > 0], [(d, -e) for d, e in ratio.items() if e < 0]
+    degree = max(sum(d * e for d, e in side) for side in sides)
+    (left, lhs), (right, rhs) = (_binomial_product(side, degree) for side in sides)
+    u = p**alpha
+    name = f"congruence g[{alpha},{p}] = g (mod {u})"
+    first = next((n for n, (a, b) in enumerate(zip(left, right)) if (a - b) % u), None)
+    if first is None:
+        return CheckReport(name, degree + 1, None, f"{lhs} = {rhs} (mod {u})")
+    a, b = left[first] % u, right[first] % u
+    return CheckReport(name, first + 1, first, f"coefficient {first} is {a} in {lhs} but {b} in {rhs} (mod {u})")
+
+
+def _binomial_product(factors: list[tuple[int, int]], degree: int) -> tuple[list[int], str]:
+    """prod (1 - q^d)^e over the (d, e) factors, each e >= 1, exactly through
+    q^degree, by e sparse passes per factor; and the product as text."""
+    coeffs = [1] + [0] * degree
+    for d, e in factors:
+        coeffs = _sparse_passes(coeffs, [(0, 1), (d, -1)], e, None)
+    text = "".join(("(1-q)" if d == 1 else f"(1-q^{d})") + (f"^{e}" if e > 1 else "") for d, e in factors)
+    return coeffs, text or "1"
 
 
 # ---------------------------------------------------------------------------

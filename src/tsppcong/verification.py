@@ -216,9 +216,10 @@ class Certificate:
 
 
 def kappa(m: int) -> int:
-    """gcd(m^2 - 1, 24), the twisting constant of the orbit map."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    """gcd(m^2 - 1, 24), the twisting constant of the orbit map; m must be
+    a positive int other than a bool."""
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
     return gcd(m * m - 1, 24)
 
 

@@ -3,11 +3,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import tsppcong as tc
 from tsppcong.verification import clear_expansion_cache
+
+# exact expansions make single examples slow, so no property test has a deadline
+settings.register_profile("tsppcong", deadline=None)
+settings.load_profile("tsppcong")
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ EXPAND_SHA256 = {
 
 
 # the bytes `tsppcong regress` prints: 22 rows and the overall line
-REGRESS_SHA256 = "aebe48bb42e6e11278f5e4b1420c9afac9936c728169ab9d85a0782f6e6df427"
+REGRESS_SHA256 = "f545bcd08e1a984207ac26383cac8db82264728d957ca056b0ce4ec693c64daf"
 
 
 def write_instance(tmp_path, payload, name="case.json"):

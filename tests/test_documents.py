@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import tsppcong as tc
@@ -142,7 +142,6 @@ documents_st = st.recursive(
 
 
 @given(doc=documents_st)
-@settings(deadline=None)
 def test_canonical_json_matches_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 

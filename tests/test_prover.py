@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import tsppcong as tc
-from tsppcong import documents
+from tsppcong import cli, documents
 from tsppcong.verification import clear_expansion_cache
 from tsppcong.prover import (
     FAILED,
@@ -51,11 +51,11 @@ def test_build_instance_matches_manual_construction(shipped_docs, instance1, ins
     by_offset = {d.claim.offset: d for d in shipped_docs}
     steps = tc.reduce_claim(by_offset[125].claim)
     g_claim = next(s.g_claim for s in steps if s.g_claim)
-    assert build_instance(g_claim, by_offset[125].hints) == instance1
+    assert build_instance(g_claim, by_offset[125].hints.r_prime) == instance1
 
     steps = tc.reduce_claim(by_offset[825].claim)
     g_claim = next(s.g_claim for s in steps if s.g_claim)
-    assert build_instance(g_claim, by_offset[825].hints) == instance2
+    assert build_instance(g_claim, by_offset[825].hints.r_prime) == instance2
 
 
 def test_prove_mod125_claims(shipped_docs):
@@ -386,22 +386,31 @@ def test_regression_suite_derives_combinations(shipped_docs, monkeypatch):
     ]
 
 
-def test_regression_suite_reports_first_slice_variant_mismatch(shipped_docs, monkeypatch):
-    exact = tc.prover.slice_variant_series
+def test_regression_suite_reports_first_slice_variant_mismatch(monkeypatch, capsys):
+    # a variant spec for p = 5 with the exponent of (q^2; q^2) moved from 3
+    # to 4 breaks exactly the three p = 5 identities; the proofs build their
+    # specs through prover's own name and still pass
+    exact = tc.tspp.slice_variant_spec
 
-    def corrupted(alpha, p, order, ring):
-        coeffs = list(exact(alpha, p, order, ring).coeffs)
-        coeffs[7] += 1
-        coeffs[8] += 1
-        return tc.TruncatedSeries(ring, tuple(coeffs))
+    def moved(alpha, p):
+        spec = exact(alpha, p)
+        if p != 5:
+            return spec
+        return tc.EtaQuotientSpec(spec.level, {**dict(spec.exponents), 2: 4})
 
-    monkeypatch.setattr(tc.prover, "slice_variant_series", corrupted)
-    suite = suite_of(monkeypatch, [shipped_docs[2]])
-    failing = [(e.name, e.detail) for e in suite.entries if e.status == "fail"]
+    monkeypatch.setattr(tc.tspp, "slice_variant_spec", moved)
+    failing = [(e.name, e.detail) for e in tc.regression_suite().entries if e.status == "fail"]
+    # L = R(1-q^2) (mod u), so the sides first differ at q^2, by -1
     assert failing == [
-        (f"congruence g[{alpha},{p}] = g (mod {p**alpha})", "first mismatch at n = 7")
-        for alpha, p in ((1, 11), (1, 5), (2, 5), (2, 2))
+        (
+            f"congruence g[{alpha},5] = g (mod {u})",
+            f"violation at index 2: coefficient 2 is {u - 1} in (1-q)^{u}(1-q^2) but 0 in {rhs} (mod {u})",
+        )
+        for alpha, u, rhs in ((3, 125, "(1-q^5)^25"), (1, 5, "(1-q^5)"), (2, 25, "(1-q^5)^5"))
     ]
+    assert cli.main(["regress"]) == 1
+    failed = re.findall(r"^(.*\S) +FAIL ", capsys.readouterr().out, flags=re.M)
+    assert failed == [name for name, _ in failing]
 
 
 def test_regression_suite_reports_injected_failure(shipped_docs, monkeypatch):

@@ -100,6 +100,10 @@ def test_slice_variant_exponents():
         tc.slice_variant_spec(0, 5)
     with pytest.raises(ValueError):
         tc.slice_variant_spec(1, 6)
+    # True would give the alpha = 1 spec, a float would reach is_prime
+    for alpha, p in ((True, 5), (1, 5.0), (2.0, 5)):
+        with pytest.raises(ValueError, match="must be integers"):
+            tc.slice_variant_spec(alpha, p)
 
 
 def test_slice_variant_weighted_sum_is_constant():
@@ -114,10 +118,16 @@ def test_slice_variant_first_values_mod_125():
     assert got.coeffs == (1, 2)
 
 
-@pytest.mark.parametrize("alpha,p", [(3, 5), (1, 11), (2, 5), (1, 5), (2, 2)])
+@pytest.mark.parametrize("alpha,p", [(3, 5), (1, 11), (2, 5), (1, 5), (2, 2), (2, 7), (3, 3), (1, 13)])
 def test_slice_variant_congruent_to_slice(alpha, p):
+    # the binomial identity proves the congruence; the expansions sample it
+    u = p**alpha
+    check = tc.check_variant_congruence(alpha, p)
+    assert check.passed and check.checked == u + 1
+    exponent = f"^{u // p}" if alpha > 1 else ""
+    assert check.detail == f"(1-q)^{u} = (1-q^{p}){exponent} (mod {u})"
     order = 300
-    ring = tc.residues_mod(p**alpha)
+    ring = tc.residues_mod(u)
     assert tc.slice_variant_series(alpha, p, order, ring) == tc.slice_series(order, ring)
 
 

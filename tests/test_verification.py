@@ -68,6 +68,10 @@ def test_kappa_values():
     assert tc.kappa(5) == 24
     with pytest.raises(ValueError):
         tc.kappa(0)
+    # True would give kappa(1) = 24
+    for bad in (True, 5.0):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            tc.kappa(bad)
 
 
 def test_squares_mod():
@@ -245,7 +249,7 @@ def cusp_cases(draw):
 
 
 @given(case=cusp_cases())
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_cusp_order_bound_matches_forward_scan(case):
     rep, m, r = case
     assert tuple(cusp_order_bound(rep, m, r)) == oracles.cusp_scan(rep, m, r, tc.kappa(m))
@@ -295,7 +299,7 @@ def test_aux_cusp_order(instance1):
 
 
 @given(case=cusp_cases().filter(lambda case: case[0].a != 1))
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 def test_aux_cusp_order_matches_oracle(case):
     # the auxiliary order reads only c, whatever a the representative has
     rep, _, r_prime = case
