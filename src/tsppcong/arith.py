@@ -1,6 +1,22 @@
-"""Small integer helpers shared across the package."""
+"""Small integer helpers shared across the package, and the one rule for
+integer arguments: an int other than a bool, never coerced."""
 
 from __future__ import annotations
+
+
+def is_int(value) -> bool:
+    """Whether value is an int other than a bool; a float, a string or a
+    numpy integer is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(value, name: str, low: int | None = None) -> int:
+    """Return value unchanged if it is an int (is_int) of at least low, when
+    low is given; otherwise raise ValueError naming the parameter."""
+    if is_int(value) and (low is None or value >= low):
+        return value
+    least = "" if low is None else f" of at least {low}"
+    raise ValueError(f"{name} must be an integer{least}, got {value!r}")
 
 
 def divisors(n: int) -> list[int]:

@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .arith import is_int
 from .series import EtaQuotientSpec
 from .tspp import CheckReport, CongruenceClaim, ReductionStep
 from .verification import Certificate, InstanceHints
@@ -93,7 +94,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 def _get_int(obj: dict, key: str, where: str) -> int:
     value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise DocumentError(f"field {key!r} must be an integer, got {value!r}", where)
     return value
 

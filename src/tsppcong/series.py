@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import divisors
+from .arith import divisors, is_int, require_int
 
 
 class RingMismatchError(ValueError):
@@ -60,10 +60,6 @@ class NonUnitConstantError(ValueError):
         super().__init__(msg)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CoefficientRing:
     """Exact integers when modulus is None, else Z/modulus with canonical
@@ -72,9 +68,8 @@ class CoefficientRing:
     modulus: int | None = None
 
     def __post_init__(self):
-        m = self.modulus
-        if m is not None and not (_is_int(m) and m >= 2):
-            raise ValueError(f"modulus must be an integer of at least 2, got {m!r}")
+        if self.modulus is not None:
+            require_int(self.modulus, "modulus", 2)
 
     def unit_inverse(self, value: int) -> int:
         """Multiplicative inverse of a unit, or NonUnitConstantError."""
@@ -109,8 +104,8 @@ class TruncatedSeries:
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("a truncated series carries at least the q^0 coefficient")
-        # one pass over the types; _is_int only runs when some type is not int
-        bad = [] if set(map(type, coeffs)) == {int} else [c for c in coeffs if not _is_int(c)]
+        # one pass over the types; is_int only runs when some type is not int
+        bad = [] if set(map(type, coeffs)) == {int} else [c for c in coeffs if not is_int(c)]
         if bad:
             raise ValueError(f"every coefficient must be an integer, got {bad[0]!r}")
         u = self.ring.modulus
@@ -156,17 +151,13 @@ class EtaQuotientSpec:
     exponents: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not _is_int(self.level) or self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level!r}")
+        require_int(self.level, "level", 1)
         raw = self.exponents
         given = {}
         for d, e in raw.items() if isinstance(raw, Mapping) else raw:
-            if d in given:
+            if require_int(d, "divisor") in given:
                 raise ValueError(f"divisor {d!r} is given twice")
-            given[d] = e
-        bad = [x for x in (*given, *given.values()) if not _is_int(x)]
-        if bad:
-            raise ValueError(f"every divisor and exponent must be an integer, got {bad[0]!r}")
+            given[d] = require_int(e, "exponent")
         divs = divisors(self.level)
         bad = sorted(set(given) - set(divs))
         if bad:
@@ -193,6 +184,8 @@ def pentagonal_terms(delta: int, order: int) -> list[tuple[int, int]]:
     are delta times the generalized pentagonal numbers k(3k+-1)/2 and the
     signs are (-1)**k.
     """
+    require_int(delta, "delta", 1)
+    require_int(order, "order", 0)
     terms = [(0, 1)]
     k = 1
     while delta * k * (3 * k - 1) // 2 <= order:
@@ -207,14 +200,9 @@ def pentagonal_terms(delta: int, order: int) -> list[tuple[int, int]]:
 
 def pentagonal_series(delta: int, order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
     """The dilated Euler product prod_{n>=1}(1 - q^(delta*n)), truncated."""
-    if not (_is_int(delta) and _is_int(order)):
-        raise ValueError(f"dilation and order must be integers, got {delta!r} and {order!r}")
-    if delta < 1:
-        raise ValueError(f"dilation must be positive, got {delta}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    terms = pentagonal_terms(delta, order)  # refuses a bad order before it sizes the list
     coeffs = [0] * (order + 1)
-    for e, sign in pentagonal_terms(delta, order):
+    for e, sign in terms:
         coeffs[e] = sign
     return TruncatedSeries(ring, tuple(coeffs))
 
@@ -348,8 +336,7 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
     Binary powering, about 2*log2|e| products; negative exponents invert
     first (unit constant term required).  e must be an int other than a bool.
     """
-    if not _is_int(e):
-        raise ValueError(f"exponent must be an integer, got {e!r}")
+    require_int(e, "exponent")
     result = TruncatedSeries(a.ring, (1,) + (0,) * a.order)
     base = invert(a) if e < 0 else a
     e = abs(e)
@@ -392,13 +379,9 @@ def eta_quotient(
     period.  Those coefficients cost one sum of period products of pieces
     that take every period-th coefficient (_mul_progression).
     """
-    bad = [x for x in (order, step, offset) if not _is_int(x)]
-    if bad:
-        raise ValueError(f"order, step and offset must be integers, got {bad[0]!r}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if step < 1:
-        raise ValueError(f"progression step must be positive, got {step}")
+    require_int(order, "order", 0)
+    require_int(step, "step", 1)
+    require_int(offset, "offset")
     if not 0 <= offset < step:
         raise ValueError(f"offset {offset} outside [0, {step})")
     if offset > order:

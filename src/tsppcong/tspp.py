@@ -4,6 +4,16 @@ reduction of congruence claims about them.
 Past f(0) = 1 the counting sequence lives on indices congruent to 1 mod 3
 only (it vanishes on indices congruent to 0 or 2 mod 3), and on indices 6n+1
 it agrees with a fixed eta quotient, here called the slice series.
+
+In x = q^3, sum_n f(3n+1) x^n = nu(-x), where nu(q) = sum_n q^(n(n+1)) /
+(-q; q^2)_(n+1) is one of Ramanujan's third-order mock theta functions.
+Its 2-dissection nu(-q) = (q^4;q^4)^3 / (q^2;q^2)^2 + q*omega(q^2) splits
+the indices: 6n+1 carry the slice series, and 6n+4 carry the mock theta
+function omega(q) = sum_n q^(2n(n+1)) / (q; q^2)_(n+1)^2, which is not an
+eta quotient.  Sources, to confirm: N. J. Fine, Basic Hypergeometric Series
+and Applications (AMS, 1988); G. E. Andrews and B. C. Berndt, Ramanujan's
+Lost Notebook, Part II (Springer, 2009).
+
 reduce_claim turns a CongruenceClaim "f(An+B) = 0 (mod u)" into SliceClaims
 about the slice variant on arithmetic progressions, which is what the
 verifier in the verification module consumes.
@@ -16,13 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, prime_power
+from .arith import is_prime, prime_power, require_int
 from .series import (
     INTEGERS,
     CoefficientRing,
     EtaQuotientSpec,
     TruncatedSeries,
-    _is_int,
     _sparse_passes,
     array_dtype,
     eta_quotient,
@@ -50,15 +59,11 @@ class CongruenceClaim:
     def __post_init__(self):
         if self.sequence != "f":
             raise ValueError(f"unknown sequence {self.sequence!r}: a claim's sequence must be 'f'")
-        bad = [x for x in (self.step, self.offset, self.modulus) if not _is_int(x)]
-        if bad:
-            raise ValueError(f"every step, offset and modulus must be an integer, got {bad[0]!r}")
-        if self.step < 1:
-            raise ValueError(f"step must be positive, got {self.step}")
+        require_int(self.step, "step", 1)
+        require_int(self.offset, "offset")
         if not 0 <= self.offset < self.step:
             raise ValueError(f"offset {self.offset} outside [0, {self.step})")
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
+        require_int(self.modulus, "modulus", 2)
 
     def describe(self) -> str:
         return f"f({self.step}n+{self.offset}) = 0 (mod {self.modulus})"
@@ -134,6 +139,11 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
 
         U_0 = sum_{j>=0} x^(j(j+1)) T_j,   T_j = 1 / prod_{i=0}^{j} (1 - x^(2i+1)).
 
+    That is U_0 = nu(-x) for the mock theta function nu, whose 2-dissection
+    nu(-q) = (q^4;q^4)^3 / (q^2;q^2)^2 + q*omega(q^2) is in Fine (1988) and
+    in Andrews and Berndt, Lost Notebook II (sources to confirm; see the
+    module docstring).
+
     T_0 is all ones and T_j = T_(j-1) / (1 - x^(2j+1)) is one cumulative
     sum down the columns of a (rows, 2j+1) view, taken over the first
     lc - j(j+1) slots that the sum reads from offset j(j+1); so about
@@ -141,8 +151,7 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     total once at the end: a column sums at most lc residues and the total
     at most lc + 1, so u * (lc + 1) picks the array's dtype.
     """
-    if not _is_int(order) or order < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    require_int(order, "order", 0)
     u = ring.modulus
     lc = (order + 2) // 3
     dtype = array_dtype(None if u is None else u * (lc + 1))
@@ -189,10 +198,8 @@ def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     immutable, so one is built per (alpha, p) and shared: each proof builds
     it once for the verifier and once more to check each certificate.
     """
-    if not (_is_int(alpha) and _is_int(p)):
-        raise ValueError(f"alpha and p must be integers, got {alpha!r} and {p!r}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be at least 1, got {alpha}")
+    require_int(alpha, "alpha", 1)
+    require_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:
@@ -318,7 +325,8 @@ def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
             continue
         if b % 6 != 1:
             raise NotReducibleError(
-                f"class n = 3k+{r3}: indices are 4 (mod 6), not covered by the slice identity"
+                f"class n = 3k+{r3}: indices are 4 (mod 6): their series is the mock theta "
+                "function omega(q), not an eta quotient"
             )
         if big_step % 6 != 0:
             raise NotReducibleError(

@@ -29,8 +29,8 @@ from functools import lru_cache, partial
 from math import floor, gcd
 from typing import NamedTuple
 
-from .arith import divisors, factorize, prime_factors
-from .series import EtaQuotientSpec, _is_int, eta_quotient, residues_mod
+from .arith import divisors, factorize, prime_factors, require_int
+from .series import EtaQuotientSpec, eta_quotient, residues_mod
 
 
 class UnsupportedInstanceError(ValueError):
@@ -47,6 +47,8 @@ class CosetRep:
     d: int
 
     def __post_init__(self):
+        for name in "abcd":
+            require_int(getattr(self, name), name)
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant of {self} must be 1")
 
@@ -71,15 +73,11 @@ class VerificationInstance:
     u: int
 
     def __post_init__(self):
-        bad = [x for x in (self.m, self.t, self.u) if not _is_int(x)]
-        if bad:
-            raise ValueError(f"every m, t and u must be an integer, got {bad[0]!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+        require_int(self.m, "m", 1)
+        require_int(self.t, "t")
         if not 0 <= self.t < self.m:
             raise ValueError(f"seed residue {self.t} outside [0, {self.m})")
-        if self.u < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.u}")
+        require_int(self.u, "u", 2)
 
     @property
     def M(self) -> int:
@@ -102,6 +100,7 @@ class InstanceHints:
     r_prime: EtaQuotientSpec
 
     def __post_init__(self):
+        require_int(self.group_level, "group_level", 1)
         if self.r_prime.level != self.group_level:
             raise ValueError(
                 f"auxiliary vector has level {self.r_prime.level}, "
@@ -218,8 +217,7 @@ class Certificate:
 def kappa(m: int) -> int:
     """gcd(m^2 - 1, 24), the twisting constant of the orbit map; m must be
     a positive int other than a bool."""
-    if not _is_int(m) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    require_int(m, "m", 1)
     return gcd(m * m - 1, 24)
 
 
@@ -234,8 +232,7 @@ def squares_mod(modulus: int) -> tuple[int, ...]:
     plus the size of the result, not n gcds (for 24*1375: 8 + 3 + 125 + 11
     residues and 250 squares, against 33 000 gcds).
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    require_int(modulus, "modulus", 1)
     lifts, size = [0], 1
     for p, e in factorize(modulus):
         q = p**e
@@ -268,6 +265,7 @@ def coset_reps(N: int) -> tuple[CosetRep, ...]:
     each gcd(d, N/d) is 1 or 2; any other level (9, 16, 25, 50, ...) raises
     UnsupportedInstanceError rather than skip cusp conditions.
     """
+    require_int(N, "N", 1)
     wide = [d for d in divisors(N) if gcd(d, N // d) > 2]
     if wide:
         raise UnsupportedInstanceError(
@@ -282,7 +280,7 @@ def index_gamma0(N: int) -> int:
 
     Computed exactly: divide by each prime first, then multiply.
     """
-    out = N
+    out = require_int(N, "N", 1)
     for p in prime_factors(N):
         out = out // p * (p + 1)
     return out

@@ -10,8 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 import tsppcong as tc
 from tsppcong.verification import clear_expansion_cache
 
-# exact expansions make single examples slow, so no property test has a deadline
-settings.register_profile("tsppcong", deadline=None)
+# exact expansions make single examples slow, so no property test has a
+# deadline; a failure prints the @reproduce_failure blob that replays it
+settings.register_profile("tsppcong", deadline=None, print_blob=True)
 settings.load_profile("tsppcong")
 
 

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: products are expanded by naive
 truncated polynomial multiplication, partition counts come from the
-standard bounded-part recursion, and the verifier's unit squares and cusp
+standard bounded-part recursion, the mock theta function omega comes from
+cumulative sums over plain lists, and the verifier's unit squares and cusp
 minima come from trying every residue and every lambda; the auxiliary cusp
 orders are summed term by term as fractions.  These are the reference
 values the fast paths are checked against.
@@ -111,3 +112,24 @@ def cusp_scan(rep, m, r, kap):
 def aux_order(rep, r_prime):
     """(1/24) sum_d r'_d gcd(d, c)^2 / d, summed term by term as fractions."""
     return sum((Fraction(rd * gcd(d, rep.c) ** 2, 24 * d) for d, rd in r_prime.nonzero()), Fraction(0))
+
+
+def omega(order):
+    """Ramanujan's third-order mock theta function
+    omega(q) = sum_{n>=0} q^(2n(n+1)) / (q; q^2)_(n+1)^2 through q^order.
+
+    T_n = 1 / prod_{i<=n} (1 - q^(2i+1))^2 is T_(n-1) divided twice by
+    1 - q^(2n+1), each division one cumulative sum with stride 2n+1 over the
+    order - 2n(n+1) + 1 slots that the shifted term reads."""
+    out = [0] * (order + 1)
+    term = [1] + [0] * order
+    n = 0
+    while (shift := 2 * n * (n + 1)) <= order:
+        stride, top = 2 * n + 1, order - shift + 1
+        for _ in range(2):
+            for j in range(stride, top):
+                term[j] += term[j - stride]
+        for j in range(top):
+            out[shift + j] += term[j]
+        n += 1
+    return out

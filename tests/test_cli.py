@@ -295,6 +295,21 @@ def test_prove_not_reducible_exits_3(tmp_path, capsys):
     assert "NOT-REDUCIBLE" in capsys.readouterr().out
 
 
+def test_prove_omega_class_exits_3(tmp_path, capsys):
+    # f(240n+166) = 0 (mod 5) holds, but its series is the mock theta function omega
+    path = write_instance(
+        tmp_path,
+        {
+            "claim": {"sequence": "f", "A": 240, "B": 166, "u": 5},
+            "hints": {"N": 10, "r_prime": {"1": 13}},
+        },
+    )
+    assert main(["prove", "--instance", path, "--out", str(tmp_path / "c.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "f(240n+166) = 0 (mod 5): NOT-REDUCIBLE\n"
+    assert "the mock theta function omega(q), not an eta quotient" in captured.err
+
+
 @pytest.mark.parametrize("claim", [(3, 0, 5), (6, 0, 7), (9, 0, 4)])
 def test_prove_progression_through_index_0_exits_3(claim, tmp_path, capsys):
     # f(0) = 1: the class n = 3k+0 of f(An) is not closed by the vanishing support

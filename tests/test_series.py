@@ -61,15 +61,10 @@ def test_pentagonal_support_is_exactly_pentagonal(delta, order):
 
 
 def test_pentagonal_series_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta must be an integer of at least 1, got 0"):
         tc.pentagonal_series(0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be an integer of at least 0, got -1"):
         tc.pentagonal_series(1, -1)
-    # a bool is not an int here: True would dilate by 1, and a float order
-    # would fail inside list repetition with a TypeError
-    for delta, order in ((True, 3), (1, True), (2.0, 3), (1, 2.0), ("3", 3), (1, "3")):
-        with pytest.raises(ValueError, match="must be integers"):
-            tc.pentagonal_series(delta, order)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +366,11 @@ def test_eta_quotient_rejects_bad_progressions():
 
 
 def test_eta_quotient_refuses_non_int_arguments():
-    # True would pass for an order, step or offset of 1, and a float order
-    # used to fail inside list repetition
+    # None is not an int either, though no parameter here takes it
     spec = tc.EtaQuotientSpec(2, {1: -2, 2: 3})
-    for bad in (True, 7.0, "7", np.int64(7), None):
-        for order, step, offset in ((bad, 1, 0), (10, bad, 0), (10, 3, bad)):
-            with pytest.raises(ValueError, match="must be integers, got " + re.escape(repr(bad))):
-                tc.eta_quotient(spec, order, tc.INTEGERS, step, offset)
+    for order, step, offset in ((None, 1, 0), (10, None, 0), (10, 3, None)):
+        with pytest.raises(ValueError, match="must be an integer( of at least [01])?, got None"):
+            tc.eta_quotient(spec, order, tc.INTEGERS, step, offset)
     assert tc.eta_quotient(spec, 10, tc.INTEGERS, 3, 1).coeffs == tc.slice_series(10).coeffs[1::3]
 
 
