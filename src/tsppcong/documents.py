@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .arith import is_int
+from .arith import require_int
 from .series import EtaQuotientSpec
 from .tspp import CheckReport, CongruenceClaim, ReductionStep
 from .verification import Certificate, InstanceHints
@@ -77,32 +77,37 @@ def _read_json(text: str, where: str):
         raise DocumentError(f"not valid JSON: {exc}", where)
 
 
-def _require_mapping(obj, where):
+def _fields(obj, where: str, *names: str, ints: tuple[str, ...] = (), low: int | None = None) -> list:
+    """The values of exactly the named fields of a JSON object, in the order
+    named.
+
+    obj must be an object with no field outside names and none of them
+    missing, and each field named in ints must hold an integer of at least
+    low, when low is given; that refusal is arith.require_int's, naming the
+    field as written.  Every refusal is a DocumentError under where, in this
+    order: not an object, unknown fields, missing fields, then the ints in
+    the order given."""
     if not isinstance(obj, dict):
         raise DocumentError("expected an object", where)
-    return obj
-
-
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(names))
     if unknown:
         raise DocumentError(f"unknown field(s) {unknown}", where)
-    missing = sorted(required - set(obj))
+    missing = sorted(set(names) - set(obj))
     if missing:
         raise DocumentError(f"missing field(s) {missing}", where)
-
-
-def _get_int(obj: dict, key: str, where: str) -> int:
-    value = obj[key]
-    if not is_int(value):
-        raise DocumentError(f"field {key!r} must be an integer, got {value!r}", where)
-    return value
+    try:
+        for name in ints:
+            require_int(obj[name], f"field {name!r}", low)
+    except ValueError as exc:
+        raise DocumentError(str(exc), where)
+    return [obj[name] for name in names]
 
 
 def _parse_divisor_map(obj, level: int, where: str) -> EtaQuotientSpec:
-    mapping = _require_mapping(obj, where)
+    if not isinstance(obj, dict):
+        raise DocumentError("expected an object", where)
     parsed: dict[int, int] = {}
-    for key, value in mapping.items():
+    for key, value in obj.items():
         # int() alone would also read "01", " 1" and "1_0"
         if not (key.removeprefix("-").isdecimal() and key == str(int(key))):
             raise DocumentError(f"divisor key {key!r} is not an integer", where)
@@ -114,32 +119,19 @@ def _parse_divisor_map(obj, level: int, where: str) -> EtaQuotientSpec:
 
 
 def _parse_claim(obj, where: str) -> CongruenceClaim:
-    claim = _require_mapping(obj, where)
-    keys = {"sequence", "A", "B", "u"}
-    _check_keys(claim, keys, keys, where)
+    fields = _fields(obj, where, "sequence", "A", "B", "u", ints=("A", "B", "u"))
     try:
-        return CongruenceClaim(
-            claim["sequence"],
-            _get_int(claim, "A", where),
-            _get_int(claim, "B", where),
-            _get_int(claim, "u", where),
-        )
+        return CongruenceClaim(*fields)
     except ValueError as exc:
         raise DocumentError(str(exc), where)
 
 
 def parse_instance(text: str, source: str = "instance") -> InstanceDocument:
-    top = _require_mapping(_read_json(text, source), source)
-    _check_keys(top, {"claim", "hints"}, {"claim", "hints"}, source)
-
-    claim = _parse_claim(top["claim"], f"{source}.claim")
-
-    hints_obj = _require_mapping(top["hints"], f"{source}.hints")
-    _check_keys(hints_obj, {"N", "r_prime"}, {"N", "r_prime"}, f"{source}.hints")
-    group_level = _get_int(hints_obj, "N", f"{source}.hints")
-    if group_level < 1:
-        raise DocumentError("N must be positive", f"{source}.hints")
-    r_prime = _parse_divisor_map(hints_obj["r_prime"], group_level, f"{source}.hints.r_prime")
+    claim_obj, hints_obj = _fields(_read_json(text, source), source, "claim", "hints")
+    claim = _parse_claim(claim_obj, f"{source}.claim")
+    where = f"{source}.hints"
+    group_level, r_prime = _fields(hints_obj, where, "N", "r_prime", ints=("N",), low=1)
+    r_prime = _parse_divisor_map(r_prime, group_level, f"{where}.r_prime")
     return InstanceDocument(claim, InstanceHints(group_level, r_prime))
 
 
@@ -151,9 +143,8 @@ def load_instance(path) -> InstanceDocument:
 def load_eta_spec(path) -> EtaQuotientSpec:
     """Read an eta quotient written as {"M": level, "r": {divisor: exponent}}."""
     where = str(path)
-    doc = _read_json(_read_text(Path(path), where), where)
-    _check_keys(_require_mapping(doc, where), {"M", "r"}, {"M", "r"}, where)
-    return _parse_divisor_map(doc["r"], _get_int(doc, "M", where), f"{where}.r")
+    level, r = _fields(_read_json(_read_text(Path(path), where), where), where, "M", "r", ints=("M",), low=1)
+    return _parse_divisor_map(r, level, f"{where}.r")
 
 
 def _shipped(folder: str = "data") -> tuple[InstanceDocument, ...]:

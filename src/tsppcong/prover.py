@@ -25,6 +25,7 @@ from .tspp import (
     NotReducibleError,
     ReductionStep,
     reduce_claim,
+    scan,
     # unused here, but perfbench/tracing.py wraps both names on this module
     slice_series,
     slice_variant_series,
@@ -165,13 +166,10 @@ def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport
     u = claim.modulus
     if counts.ring.modulus is not None and counts.ring.modulus % u != 0:
         raise ValueError(f"counts over {counts.ring!r} do not determine residues mod {u}")
-    name = f"oracle {claim.describe()}"
-    read = counts.coeffs[claim.offset :: claim.step]
-    for i, count in enumerate(read):
-        if count % u:
-            idx = claim.offset + i * claim.step
-            return CheckReport(name, i + 1, idx, f"coefficient {idx} is {count % u} (mod {u})")
-    return CheckReport(name, len(read), None, f"indices <= {counts.order}")
+    f = counts.coeffs
+    checked, n = scan((n, f[n] % u == 0) for n in range(claim.offset, counts.order + 1, claim.step))
+    detail = f"indices <= {counts.order}" if n is None else f"coefficient {n} is {f[n] % u} (mod {u})"
+    return CheckReport(f"oracle {claim.describe()}", checked, n, detail)
 
 
 # ---------------------------------------------------------------------------

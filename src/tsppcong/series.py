@@ -88,8 +88,8 @@ class CoefficientRing:
 INTEGERS = CoefficientRing()
 
 
-def residues_mod(u: int) -> CoefficientRing:
-    return CoefficientRing(u)
+def residues_mod(modulus: int) -> CoefficientRing:
+    return CoefficientRing(modulus)
 
 
 @dataclass(frozen=True)
@@ -330,16 +330,17 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ring, tuple(g))
 
 
-def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
-    """a**e truncated at a.order; e == 0 gives the constant series 1.
+def power(a: TruncatedSeries, exponent: int) -> TruncatedSeries:
+    """a**exponent truncated at a.order; exponent 0 gives the constant series 1.
 
-    Binary powering, about 2*log2|e| products; negative exponents invert
-    first (unit constant term required).  e must be an int other than a bool.
+    Binary powering, about 2*log2|exponent| products; a negative exponent
+    inverts first (unit constant term required).  The exponent must be an int
+    other than a bool.
     """
-    require_int(e, "exponent")
+    require_int(exponent, "exponent")
     result = TruncatedSeries(a.ring, (1,) + (0,) * a.order)
-    base = invert(a) if e < 0 else a
-    e = abs(e)
+    base = invert(a) if exponent < 0 else a
+    e = abs(exponent)
     while e:
         if e & 1:
             result = mul(result, base)

@@ -21,6 +21,7 @@ verifier in the verification module consumes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,6 +124,21 @@ class CheckReport:
         return self.first_violation is None
 
 
+def scan(pairs: Iterable[tuple[int, bool]]) -> tuple[int, int | None]:
+    """Read (index, holds) pairs in order up to the first that does not hold.
+
+    Returns the number of pairs read, the failing one included, and the
+    failing pair's index, or None when every pair held: a CheckReport's
+    checked and first_violation.  Nothing past the first failure is read.
+    """
+    checked = 0
+    for index, holds in pairs:
+        checked += 1
+        if not holds:
+            return checked, index
+    return checked, None
+
+
 # ---------------------------------------------------------------------------
 # generating functions
 # ---------------------------------------------------------------------------
@@ -223,33 +239,19 @@ def check_support(order: int) -> CheckReport:
     Runs in exact arithmetic.  A counterexample is reported, not raised.
     """
     f = tspp_series(order, INTEGERS).coeffs
-    checked = 0
-    for n in range(1, order + 1):
-        if n % 3 == 1:
-            continue
-        checked += 1
-        if f[n] != 0:
-            return CheckReport("support", checked, n, f"count at index {n} is {f[n]}, expected 0")
-    return CheckReport("support", checked, None, f"indices 1..{order}")
+    checked, n = scan((n, f[n] == 0) for n in range(1, order + 1) if n % 3 != 1)
+    detail = f"indices 1..{order}" if n is None else f"count at index {n} is {f[n]}, expected 0"
+    return CheckReport("support", checked, n, detail)
 
 
 def check_slice_identity(order: int) -> CheckReport:
     """Assert count(6n+1) equals the slice series coefficient, exactly."""
     f = tspp_series(order, INTEGERS).coeffs
-    top = (order - 1) // 6 if order >= 1 else -1
-    checked = 0
-    if top >= 0:
-        g = slice_series(top, INTEGERS).coeffs
-        for n, (count, slice_n) in enumerate(zip(f[1::6], g)):
-            checked += 1
-            if count != slice_n:
-                return CheckReport(
-                    "slice-identity",
-                    checked,
-                    6 * n + 1,
-                    f"count({6 * n + 1}) = {count} but slice({n}) = {slice_n}",
-                )
-    return CheckReport("slice-identity", checked, None, f"n <= {top}")
+    top = (order - 1) // 6  # -1 at order 0, where f[1::6] is empty
+    g = slice_series(max(top, 0), INTEGERS).coeffs
+    checked, k = scan((6 * n + 1, count == slice_n) for n, (count, slice_n) in enumerate(zip(f[1::6], g)))
+    detail = f"n <= {top}" if k is None else f"count({k}) = {f[k]} but slice({k // 6}) = {g[k // 6]}"
+    return CheckReport("slice-identity", checked, k, detail)
 
 
 def check_variant_congruence(alpha: int, p: int) -> CheckReport:
@@ -276,11 +278,11 @@ def check_variant_congruence(alpha: int, p: int) -> CheckReport:
     (left, lhs), (right, rhs) = (_binomial_product(side, degree) for side in sides)
     u = p**alpha
     name = f"congruence g[{alpha},{p}] = g (mod {u})"
-    first = next((n for n, (a, b) in enumerate(zip(left, right)) if (a - b) % u), None)
-    if first is None:
-        return CheckReport(name, degree + 1, None, f"{lhs} = {rhs} (mod {u})")
-    a, b = left[first] % u, right[first] % u
-    return CheckReport(name, first + 1, first, f"coefficient {first} is {a} in {lhs} but {b} in {rhs} (mod {u})")
+    checked, n = scan((n, (a - b) % u == 0) for n, (a, b) in enumerate(zip(left, right)))
+    if n is None:
+        return CheckReport(name, checked, None, f"{lhs} = {rhs} (mod {u})")
+    a, b = left[n] % u, right[n] % u
+    return CheckReport(name, checked, n, f"coefficient {n} is {a} in {lhs} but {b} in {rhs} (mod {u})")
 
 
 def _binomial_product(factors: list[tuple[int, int]], degree: int) -> tuple[list[int], str]:

@@ -257,22 +257,25 @@ def orbit(instance: VerificationInstance) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, so True is refused, not read as a cached 1
 def coset_reps(N: int) -> tuple[CosetRep, ...]:
     """The matrices (1 0; d 1) for the divisors d of N, ascending.
 
     Gamma0(N) has sum over d | N of phi(gcd(d, N/d)) cusps, and (1 0; d 1)
     stands for the cusp 1/d.  So these matrices meet every cusp exactly when
     each gcd(d, N/d) is 1 or 2; any other level (9, 16, 25, 50, ...) raises
-    UnsupportedInstanceError rather than skip cusp conditions.
+    UnsupportedInstanceError rather than skip cusp conditions.  The tuple is
+    memoized per level.
     """
     require_int(N, "N", 1)
-    wide = [d for d in divisors(N) if gcd(d, N // d) > 2]
+    ds = divisors(N)
+    wide = [d for d in ds if gcd(d, N // d) > 2]
     if wide:
         raise UnsupportedInstanceError(
             f"group level {N} is not supported: each divisor d in {wide} carries "
             "phi(gcd(d, N/d)) > 1 cusps, but only the cusp 1/d is enumerated"
         )
-    return tuple(CosetRep(1, 0, d, 1) for d in divisors(N))
+    return tuple(CosetRep(1, 0, d, 1) for d in ds)
 
 
 def index_gamma0(N: int) -> int:

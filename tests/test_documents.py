@@ -14,6 +14,7 @@ from tsppcong.documents import (
     canonical_json,
     certificate_to_doc,
     claim_to_doc,
+    load_eta_spec,
     parse_instance,
     report_to_doc,
 )
@@ -49,7 +50,11 @@ def test_parse_fills_missing_divisors():
         (lambda d: d["claim"].__setitem__("weight", 1), "unknown field"),
         (lambda d: d["claim"].__setitem__("sequence", "h"), "sequence"),
         (lambda d: d["claim"].__setitem__("A", "1250"), "integer"),
-        (lambda d: d["hints"].__setitem__("N", 0), "N must be positive"),
+        pytest.param(
+            lambda d: d["hints"].__setitem__("N", 0),
+            re.escape("instance.hints: field 'N' must be an integer of at least 1, got 0"),
+            id="N-zero",
+        ),
         (lambda d: d["hints"]["r_prime"].__setitem__("3", 1), "do not divide"),
         (lambda d: d["hints"]["r_prime"].__setitem__("x", 1), "not an integer"),
         (lambda d: d.pop("hints"), "missing field"),
@@ -101,6 +106,35 @@ def test_parse_rejects_bad_json():
     ):
         with pytest.raises(DocumentError, match=re.escape(f"somewhere: duplicate key {key!r}")):
             parse_instance(text, source="somewhere")
+
+
+@pytest.mark.parametrize("part,name", [("claim", "A"), ("claim", "B"), ("claim", "u"), ("hints", "N")])
+def test_instance_int_fields_are_refused_by_name(part, name):
+    doc = json.loads(GOOD)
+    doc[part][name] = 2.0
+    # the group level's refusal names its range, as arith.require_int does
+    # for every int with a lower bound
+    least = " of at least 1" if name == "N" else ""
+    message = f"somewhere.{part}: field {name!r} must be an integer{least}, got 2.0"
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        parse_instance(json.dumps(doc), source="somewhere")
+
+
+def test_bad_claim_is_reported_before_bad_hints():
+    doc = json.loads(GOOD)
+    doc["claim"]["A"] = 2.0
+    doc["hints"]["N"] = 0
+    with pytest.raises(DocumentError, match=r"^somewhere\.claim: field 'A' must be an integer, got 2\.0$"):
+        parse_instance(json.dumps(doc), source="somewhere")
+
+
+@pytest.mark.parametrize("level", [2.0, 0])
+def test_spec_level_is_refused_by_name(tmp_path, level):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"M": level, "r": {"1": 1}}), encoding="utf-8")
+    message = f"{path}: field 'M' must be an integer of at least 1, got {level!r}"
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        load_eta_spec(path)
 
 
 def test_claim_offset_range_is_validated():

@@ -33,8 +33,8 @@ VALID = {
     "kappa": dict(m=1),
     "pentagonal_series": dict(delta=1, order=1),
     "pentagonal_terms": dict(delta=1, order=1),
-    "power": dict(a=tc.pentagonal_series(1, 3), e=1),
-    "residues_mod": dict(u=2),
+    "power": dict(a=tc.pentagonal_series(1, 3), exponent=1),
+    "residues_mod": dict(modulus=2),
     "slice_series": dict(order=1),
     "slice_variant_series": dict(alpha=1, p=2, order=1),
     "slice_variant_spec": dict(alpha=1, p=2),
@@ -76,6 +76,6 @@ def test_int_parameters_refuse_non_ints(name):
     call(**VALID[name])
     for param in EXPORTS[name]:
         for bad in BAD:
-            message = rf"must be an integer( of at least -?\d+)?, got {re.escape(repr(bad))}$"
+            message = rf"^{param} must be an integer( of at least -?\d+)?, got {re.escape(repr(bad))}$"
             with pytest.raises(ValueError, match=message):
                 call(**dict(VALID[name], **{param: bad}))

@@ -9,6 +9,7 @@ import pytest
 import oracles
 import tsppcong as tc
 from tsppcong.series import array_dtype
+from tsppcong.tspp import scan
 
 
 def test_counting_series_first_values():
@@ -125,6 +126,20 @@ def test_slice_variant_congruent_to_slice(alpha, p):
     order = 300
     ring = tc.residues_mod(u)
     assert tc.slice_variant_series(alpha, p, order, ring) == tc.slice_series(order, ring)
+
+
+def test_scan_stops_at_the_first_failure():
+    assert scan([]) == (0, None)
+    assert scan((n, True) for n in range(7)) == (7, None)
+
+    def pairs(k):
+        for position in range(1, k):
+            yield 10 * position, True
+        yield 10 * k, np.False_
+        raise AssertionError("read past the first failure")
+
+    for k in (1, 2, 5):
+        assert scan(pairs(k)) == (k, 10 * k)
 
 
 def test_check_support():

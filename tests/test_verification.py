@@ -129,6 +129,10 @@ def test_coset_reps():
     assert tc.coset_reps(1) == (tc.CosetRep(1, 0, 1, 1),)
 
 
+def test_coset_reps_are_memoized_per_level():
+    assert tc.coset_reps(110) is tc.coset_reps(110)
+
+
 def _cusp_count(N):
     """sum over d | N of phi(gcd(d, N/d)), by brute force."""
     def phi(g):
