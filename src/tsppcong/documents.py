@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .arith import require_int
 from .series import EtaQuotientSpec
 from .tspp import CheckReport, CongruenceClaim, ReductionStep
-from .verification import Certificate, InstanceHints
+from .verification import Certificate, InstanceHints, index_gamma0, kappa
 
 if TYPE_CHECKING:  # prover imports this module
     from .prover import ProofReport
@@ -264,9 +264,9 @@ def certificate_to_doc(cert: Certificate) -> dict:
             "r": _divisor_map_doc(inst.r),
             "r_prime": _divisor_map_doc(inst.r_prime),
         },
-        "kappa": cert.kappa,
+        "kappa": kappa(inst.m),
         "orbit": list(cert.orbit),
-        "t_min": cert.t_min,
+        "t_min": cert.orbit[0],
         "admissibility": {
             "passed": cert.admissibility.passed,
             "conditions": [
@@ -274,7 +274,7 @@ def certificate_to_doc(cert: Certificate) -> dict:
                 for c in cert.admissibility.conditions
             ],
         },
-        "group_index": cert.group_index,
+        "group_index": index_gamma0(inst.N),
         "cusps": [
             {
                 "rep": [e.rep.a, e.rep.b, e.rep.c, e.rep.d],

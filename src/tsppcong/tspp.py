@@ -204,7 +204,6 @@ def slice_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSerie
     return eta_quotient(SLICE_SPEC, order, ring)
 
 
-@lru_cache(maxsize=64, typed=True)
 def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     """Exponent vector of the slice variant for the modulus p**alpha.
 
@@ -214,8 +213,11 @@ def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     immutable, so one is built per (alpha, p) and shared: each proof builds
     it once for the verifier and once more to check each certificate.
     """
-    require_int(alpha, "alpha", 1)
-    require_int(p, "p")
+    return _slice_variant_spec(require_int(alpha, "alpha", 1), require_int(p, "p"))
+
+
+@lru_cache(maxsize=64)
+def _slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import floor, gcd
 from typing import NamedTuple
 
@@ -139,7 +139,7 @@ class CuspEntry:
     aux_order: Fraction
     lam: int
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
         return self.eta_order + self.aux_order
 
@@ -151,9 +151,15 @@ class VerificationBound(NamedTuple):
 
 @dataclass(frozen=True)
 class ProgressionCheck:
+    """The scan of one orbit member t': the indices m*n + t' it read, the
+    first of them whose coefficient is nonzero mod u, or None, and that
+    coefficient mod u as residue.  residue is held for the certificate's
+    failure text and is not written to a document."""
+
     t_prime: int
     indices: tuple[int, ...]
     first_violation: int | None
+    residue: int | None = None
 
     @property
     def all_zero(self) -> bool:
@@ -164,14 +170,20 @@ class ProgressionCheck:
 class Certificate:
     """Full transcript of one verification run.
 
-    The fields are what the run computed; kappa, t_min, group_index,
-    bound_floor, expansion_order and verdict are properties read off them:
-    kappa(m), orbit[0], index_gamma0(N), floor(bound), the order the scan
-    needs, and "VERIFIED" exactly when failure is None.  expansion_order is
-    m*bound_floor + max(orbit) when the scan ran (checked is not empty) and
-    read a coefficient (bound_floor >= 0), else None; a claim that fails at
-    n = 0 on every orbit member is decided by a shorter expansion (see
-    verify_instance).
+    The fields are what the run computed; bound_floor, expansion_order,
+    failure and verdict are read off them.  bound_floor is floor(bound).
+    expansion_order is m*bound_floor + max(orbit) when the scan ran (checked
+    is not empty) and read a coefficient (bound_floor >= 0), else None; a
+    claim that fails at n = 0 on every orbit member is decided by a shorter
+    expansion (see verify_instance).  The verdict is "VERIFIED" exactly when
+    failure is None.
+
+    failure names the first of these checks that does not hold, in the
+    order the run makes them: the admissibility checklist passed; every
+    cusp total is at least 0; checked holds one scan per orbit member, in
+    orbit order, each over the indices m*n + t' for n <= bound_floor; and
+    no scan found a violation.  So a record that is dropped, cut short or
+    swapped after the run fails the certificate rather than passing it.
     """
 
     instance: VerificationInstance
@@ -180,19 +192,6 @@ class Certificate:
     cusps: tuple[CuspEntry, ...]
     bound: Fraction
     checked: tuple[ProgressionCheck, ...]
-    failure: str | None
-
-    @property
-    def kappa(self) -> int:
-        return kappa(self.instance.m)
-
-    @property
-    def t_min(self) -> int:
-        return self.orbit[0]
-
-    @property
-    def group_index(self) -> int:
-        return index_gamma0(self.instance.N)
 
     @property
     def bound_floor(self) -> int:
@@ -203,6 +202,24 @@ class Certificate:
         if not self.checked or self.bound_floor < 0:
             return None
         return self.instance.m * self.bound_floor + max(self.orbit)
+
+    @cached_property
+    def failure(self) -> str | None:
+        if not self.admissibility.passed:
+            return "admissibility condition failed: " + ", ".join(self.admissibility.failing())
+        negative = next((e for e in self.cusps if e.total < 0), None)
+        if negative is not None:
+            total = negative.total
+            return f"cusp bound negative at c={negative.rep.c}: {total.numerator}/{total.denominator}"
+        m, u, top = self.instance.m, self.instance.u, self.bound_floor
+        if [(c.t_prime, c.indices) for c in self.checked] != [
+            (t, tuple(range(t, m * top + t + 1, m))) for t in self.orbit
+        ]:
+            return f"scan records do not cover the orbit {list(self.orbit)} through n = {top}"
+        found = next((c for c in self.checked if c.first_violation is not None), None)
+        if found is None:
+            return None
+        return f"coefficient at index {found.first_violation} is {found.residue} (mod {u}), expected 0"
 
     @property
     def verdict(self) -> str:
@@ -257,7 +274,6 @@ def orbit(instance: VerificationInstance) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed, so True is refused, not read as a cached 1
 def coset_reps(N: int) -> tuple[CosetRep, ...]:
     """The matrices (1 0; d 1) for the divisors d of N, ascending.
 
@@ -267,7 +283,11 @@ def coset_reps(N: int) -> tuple[CosetRep, ...]:
     UnsupportedInstanceError rather than skip cusp conditions.  The tuple is
     memoized per level.
     """
-    require_int(N, "N", 1)
+    return _coset_reps(require_int(N, "N", 1))
+
+
+@lru_cache(maxsize=None)
+def _coset_reps(N: int) -> tuple[CosetRep, ...]:
     ds = divisors(N)
     wide = [d for d in ds if gcd(d, N // d) > 2]
     if wide:
@@ -363,9 +383,10 @@ def aux_cusp_order(rep: CosetRep, r_prime: EtaQuotientSpec) -> Fraction:
 def admissibility_check(instance: VerificationInstance) -> AdmissibilityReport:
     """Checklist tying (m, M, N, t, r) together.
 
-    Only odd progression steps are supported; the even case needs extra side
-    conditions that nothing in this package exercises, so it is rejected
-    loudly instead of guessed at.
+    Only odd progression steps are supported: Radu's conditions for an even
+    step are not implemented, so an even step, such as the m = 4 that
+    f(8n+3) = 0 (mod 4) reduces to, is rejected loudly instead of guessed
+    at.
     """
     m, N, t = instance.m, instance.N, instance.t
     if m % 2 == 0:
@@ -469,7 +490,10 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     """Run the whole finite check and return a Certificate.
 
     Failures of the admissibility checklist, of the cusp bounds or of the
-    coefficient checks are certificate outcomes, not exceptions.  Only an
+    coefficient checks are certificate outcomes, not exceptions: the run
+    records what it computed, and the certificate reads its failure off
+    those records.  The scan runs only when the checklist passed and every
+    cusp total is at least 0; otherwise checked is empty.  Only an
     unsupported shape raises UnsupportedInstanceError: an even progression
     step (admissibility_check) or a group level whose cusps coset_reps does
     not enumerate, such as 9, 16, 25 or 50.
@@ -494,26 +518,15 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
         eta_ord, lam = cusp_order_bound(rep, instance.m, instance.r)
         aux = aux_cusp_order(rep, instance.r_prime)
         cusps.append(CuspEntry(rep, eta_ord, aux, lam))
-    bound = verification_bound(instance)
-    members = bound.orbit
-
-    failure = None
-    negative = next((e for e in cusps if e.total < 0), None)
-    if not report.passed:
-        failure = "admissibility condition failed: " + ", ".join(report.failing())
-    elif negative is not None:
-        failure = (
-            f"cusp bound negative at c={negative.rep.c}: "
-            f"{negative.total.numerator}/{negative.total.denominator}"
-        )
+    v, members = verification_bound(instance)
 
     checked = []
-    if failure is None:
+    if report.passed and all(e.total >= 0 for e in cusps):
         # a negative bound leaves ns empty: nothing is expanded or read, and
         # every orbit member gets an empty check that passes
-        ns = range(floor(bound.v) + 1)
+        ns = range(floor(v) + 1)
         if ns:
-            order = instance.m * floor(bound.v) + max(members)
+            order = instance.m * floor(v) + max(members)
             step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
             offset = members[0] % step
             series = _expansion(instance.r, max(members), instance.u, step, offset)
@@ -521,20 +534,15 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
                 series = _expansion(instance.r, order, instance.u, step, offset)
         for t_prime in members:
             indices = tuple(instance.m * n + t_prime for n in ns)
-            violation = next((i for i in indices if series[(i - offset) // step]), None)
-            checked.append(ProgressionCheck(t_prime, indices, violation))
-            if violation is not None and failure is None:
-                failure = (
-                    f"coefficient at index {violation} is "
-                    f"{series[(violation - offset) // step]} (mod {instance.u}), expected 0"
-                )
+            read = ((i, series[(i - offset) // step]) for i in indices)
+            violation, residue = next(((i, c) for i, c in read if c), (None, None))
+            checked.append(ProgressionCheck(t_prime, indices, violation, residue))
 
     return Certificate(
         instance=instance,
         orbit=members,
         admissibility=report,
         cusps=tuple(cusps),
-        bound=bound.v,
+        bound=v,
         checked=tuple(checked),
-        failure=failure,
     )

@@ -49,7 +49,7 @@ EXEMPT = {
     "NonUnitConstantError": "raised by inversion with the constant it met; no exported function takes one",
 }
 
-BAD = (True, 2.0, "3", np.int64(3))
+BAD = (True, 2.0, "3", np.int64(3), [3])
 
 
 def int_parameters(obj) -> list[str]:

@@ -3,6 +3,7 @@ oracle cross-checks and the regression suite."""
 
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,13 @@ def proof_825(shipped_docs):
 @pytest.fixture(scope="module")
 def proof_1925(shipped_docs):
     doc = next(d for d in shipped_docs if d.claim.offset == 1925)
+    return tc.prove_tspp_congruence(doc.claim, doc.hints)
+
+
+@pytest.fixture(scope="module")
+def proof_125(shipped_docs):
+    # f(1250n+125) = 0 (mod 125) leaves n = 3k+1, whose orbit is (229, 604)
+    doc = next(d for d in shipped_docs if d.claim.offset == 125)
     return tc.prove_tspp_congruence(doc.claim, doc.hints)
 
 
@@ -150,11 +158,57 @@ def test_verdict_is_read_off_the_reduction_and_certificates(proof_825):
             tc.combine_congruences(reports)
 
     (cert,) = proof_825.certificates
-    broken = replace(cert, failure="injected")
+    tampered = replace(cert.checked[0], first_violation=cert.checked[0].indices[7], residue=3)
+    broken = replace(cert, checked=(tampered, *cert.checked[1:]))
     assert broken.verdict == "FAILED"
     report = replace(proof_825, certificates=(broken,))
-    assert (report.verdict, report.detail) == (FAILED, "class n = 3k+2: injected")
+    injected = f"coefficient at index {tampered.first_violation} is 3 (mod 11), expected 0"
+    assert (report.verdict, report.detail) == (FAILED, f"class n = 3k+2: {injected}")
     assert proof_825.detail is None
+
+
+def _scan(cert, member, **changes):
+    """cert with the scan record of one orbit member changed."""
+    checked = tuple(replace(c, **changes) if c.t_prime == member else c for c in cert.checked)
+    return replace(cert, checked=checked)
+
+
+@pytest.mark.parametrize(
+    "proof, tamper, failure",
+    [
+        ("proof_mod5", lambda c: replace(c, checked=()),
+         "scan records do not cover the orbit [4] through n = 3"),
+        ("proof_125", lambda c: replace(c, checked=c.checked[1:]),
+         "scan records do not cover the orbit [229, 604] through n = 84"),
+        ("proof_125", lambda c: _scan(c, 604, indices=c.checked[1].indices[:-1]),
+         "scan records do not cover the orbit [229, 604] through n = 84"),
+        ("proof_125", lambda c: _scan(c, 604, first_violation=625 * 7 + 604, residue=25),
+         "coefficient at index 4979 is 25 (mod 125), expected 0"),
+        ("proof_125", lambda c: replace(c, admissibility=tc.admissibility_check(replace(c.instance, t=230))),
+         "admissibility condition failed: orbit_step_divides_group_level"),
+        ("proof_125", lambda c: replace(c, cusps=(replace(c.cusps[0], aux_order=Fraction(0)), *c.cusps[1:])),
+         "cusp bound negative at c=1: -25/48"),
+    ],
+    ids=["records-emptied", "member-dropped", "scan-cut-short", "violation", "admissibility", "negative-cusp"],
+)
+def test_tampered_certificate_fails_its_proof(request, proof, tamper, failure):
+    # the verdict is read off the records: a VERIFIED certificate whose
+    # records are edited after the run reads FAILED, and so does its proof
+    proof = request.getfixturevalue(proof)
+    (cert,) = proof.certificates
+    assert cert.verdict == "VERIFIED"
+    broken = tamper(cert)
+    assert (broken.verdict, broken.failure) == ("FAILED", failure)
+
+    (step,) = [s for s in proof.reduction if s.g_claim is not None]
+    report = replace(proof, certificates=(broken,))
+    detail = f"class n = 3k+{step.residue_class}: {failure}"
+    assert (report.verdict, report.detail) == (FAILED, detail)
+    with pytest.raises(ValueError, match=re.escape(f"has verdict FAILED: {detail}")):
+        tc.combine_congruences([report])
+    doc = documents.report_to_doc(report)
+    assert doc["verdict"] == "FAILED" and doc["detail"] == detail
+    assert (doc["certificates"][0]["verdict"], doc["certificates"][0]["failure"]) == ("FAILED", failure)
 
 
 def test_certificates_must_match_the_classes_one_to_one(proof_mod5, proof_825):
