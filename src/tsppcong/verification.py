@@ -17,8 +17,10 @@ the Chinese remainder theorem from those modulo each prime power, and each
 cusp minimum over lambda in [0, m) is the least value at one representative
 of each valuation class of a + kap*lambda*c, after which lambda is the first
 one, counting up from 0, that attains it (see squares_mod and
-cusp_order_bound).  verify_instance records every intermediate quantity in a
-Certificate so the run can be audited or reproduced byte for byte.
+cusp_order_bound).  A Certificate stores only its instance and computes every
+intermediate quantity from it once, so the run can be audited or reproduced
+byte for byte and no recorded quantity can disagree with the instance;
+verify_instance computes them all.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ class VerificationBound(NamedTuple):
 class ProgressionCheck:
     """The scan of one orbit member t': the indices m*n + t' it read, the
     first of them whose coefficient is nonzero mod u, or None, and that
-    coefficient mod u as residue.  residue is held for the certificate's
-    failure text and is not written to a document."""
+    coefficient mod u as residue.  Certificate.checked builds one per orbit
+    member; residue is held for the certificate's failure text and is not
+    written to a document."""
 
     t_prime: int
     indices: tuple[int, ...]
@@ -170,32 +173,86 @@ class ProgressionCheck:
 class Certificate:
     """Full transcript of one verification run.
 
-    The fields are what the run computed; bound_floor, expansion_order,
-    failure and verdict are read off them.  bound_floor is floor(bound).
-    expansion_order is m*bound_floor + max(orbit) when the scan ran (checked
-    is not empty) and read a coefficient (bound_floor >= 0), else None; a
-    claim that fails at n = 0 on every orbit member is decided by a shorter
-    expansion (see verify_instance).  The verdict is "VERIFIED" exactly when
-    failure is None.
+    A certificate stores only its instance.  Every stage of the run is
+    computed from it once, on first read: admissibility (admissibility_check),
+    cusps (the CuspEntry table over coset_reps(N)), orbit and bound (one
+    verification_bound call), checked (the coefficient scan) and failure.
+    So no stage can disagree with the instance, and dataclasses.replace
+    accepts no field but instance.  bound_floor is floor(bound).
 
-    failure names the first of these checks that does not hold, in the
-    order the run makes them: the admissibility checklist passed; every
-    cusp total is at least 0; checked holds one scan per orbit member, in
-    orbit order, each over the indices m*n + t' for n <= bound_floor; and
-    no scan found a violation.  So a record that is dropped, cut short or
-    swapped after the run fails the certificate rather than passing it.
+    checked holds one ProgressionCheck per orbit member, in orbit order,
+    over the indices m*n + t' for n <= bound_floor, when the checklist
+    passed and every cusp total is at least 0; otherwise it is empty.  The
+    scan first expands, through a memo, only through max(orbit), which holds
+    the n = 0 coefficient c(t') of every orbit member.  When each of those
+    is nonzero, each member's first violation is at n = 0, and this short
+    series completes the scan; otherwise the full expansion is made.  All
+    the indices lie in one progression, step*n + offset with
+    step = gcd(m, t' - t_min over the orbit) and offset = t_min mod step, so
+    only that progression is expanded, and the two claims of one orbit
+    share it through the memo.  A negative bound leaves every scan empty,
+    and nothing is expanded or read.
+
+    expansion_order is m*bound_floor + max(orbit), the order the scan
+    needs, when the scan ran (checked is not empty) and read a coefficient
+    (bound_floor >= 0), else None; a claim that fails at n = 0 on every
+    orbit member is decided by the shorter expansion.
+
+    failure names the first of these checks that does not hold: the
+    admissibility checklist passed; every cusp total is at least 0; no scan
+    found a violation.  The verdict is "VERIFIED" exactly when failure is
+    None.
     """
 
     instance: VerificationInstance
-    orbit: tuple[int, ...]
-    admissibility: AdmissibilityReport
-    cusps: tuple[CuspEntry, ...]
-    bound: Fraction
-    checked: tuple[ProgressionCheck, ...]
+
+    @cached_property
+    def admissibility(self) -> AdmissibilityReport:
+        return admissibility_check(self.instance)
+
+    @cached_property
+    def cusps(self) -> tuple[CuspEntry, ...]:
+        inst, cusps = self.instance, []
+        for rep in coset_reps(inst.N):
+            eta_ord, lam = cusp_order_bound(rep, inst.m, inst.r)
+            cusps.append(CuspEntry(rep, eta_ord, aux_cusp_order(rep, inst.r_prime), lam))
+        return tuple(cusps)
+
+    @cached_property
+    def _bound(self) -> VerificationBound:
+        return verification_bound(self.instance)
+
+    @property
+    def orbit(self) -> tuple[int, ...]:
+        return self._bound.orbit
+
+    @property
+    def bound(self) -> Fraction:
+        return self._bound.v
 
     @property
     def bound_floor(self) -> int:
         return floor(self.bound)
+
+    @cached_property
+    def checked(self) -> tuple[ProgressionCheck, ...]:
+        if not self.admissibility.passed or any(e.total < 0 for e in self.cusps):
+            return ()
+        inst, members, ns = self.instance, self.orbit, range(self.bound_floor + 1)
+        if ns:
+            step = gcd(inst.m, *(t_prime - members[0] for t_prime in members))
+            offset = members[0] % step
+            series = _expansion(inst.r, max(members), inst.u, step, offset)
+            if not all(series[(t_prime - offset) // step] for t_prime in members):
+                order = inst.m * self.bound_floor + max(members)
+                series = _expansion(inst.r, order, inst.u, step, offset)
+        checked = []
+        for t_prime in members:
+            indices = tuple(inst.m * n + t_prime for n in ns)
+            read = ((i, series[(i - offset) // step]) for i in indices)
+            violation, residue = next(((i, c) for i, c in read if c), (None, None))
+            checked.append(ProgressionCheck(t_prime, indices, violation, residue))
+        return tuple(checked)
 
     @property
     def expansion_order(self) -> int | None:
@@ -211,15 +268,10 @@ class Certificate:
         if negative is not None:
             total = negative.total
             return f"cusp bound negative at c={negative.rep.c}: {total.numerator}/{total.denominator}"
-        m, u, top = self.instance.m, self.instance.u, self.bound_floor
-        if [(c.t_prime, c.indices) for c in self.checked] != [
-            (t, tuple(range(t, m * top + t + 1, m))) for t in self.orbit
-        ]:
-            return f"scan records do not cover the orbit {list(self.orbit)} through n = {top}"
         found = next((c for c in self.checked if c.first_violation is not None), None)
         if found is None:
             return None
-        return f"coefficient at index {found.first_violation} is {found.residue} (mod {u}), expected 0"
+        return f"coefficient at index {found.first_violation} is {found.residue} (mod {self.instance.u}), expected 0"
 
     @property
     def verdict(self) -> str:
@@ -481,68 +533,18 @@ def _expansion(spec: EtaQuotientSpec, order: int, u: int, step: int, offset: int
     return eta_quotient(spec, order, residues_mod(u), step, offset)
 
 
-def clear_expansion_cache():
-    """Drop memoized eta expansions (used to prove determinism in tests)."""
-    _expansion.cache_clear()
-
-
 def verify_instance(instance: VerificationInstance) -> Certificate:
-    """Run the whole finite check and return a Certificate.
+    """Run the whole finite check and return its Certificate.
 
-    Failures of the admissibility checklist, of the cusp bounds or of the
-    coefficient checks are certificate outcomes, not exceptions: the run
-    records what it computed, and the certificate reads its failure off
-    those records.  The scan runs only when the checklist passed and every
-    cusp total is at least 0; otherwise checked is empty.  Only an
-    unsupported shape raises UnsupportedInstanceError: an even progression
-    step (admissibility_check) or a group level whose cusps coset_reps does
-    not enumerate, such as 9, 16, 25 or 50.
-
-    The check reads c(m*n + t') for every orbit member t' and n <= floor(v),
-    and all of these indices lie in one progression: step*n + offset with
-    step = gcd(m, t' - t_min over the orbit) and offset = t_min mod step.
-    So the expansion runs modulo u through m*floor(v) + max(orbit) but
-    returns only that progression, which the two claims of one orbit share
-    through the memo.
-
-    The scan first expands, through the same memo, only through max(orbit),
-    which holds the n = 0 coefficient c(t') of every orbit member.  When
-    each of those is nonzero, each member's first violation is at n = 0,
-    and this short series completes the certificate; otherwise the full
-    expansion is made.  Either way the certificate's expansion_order reads
-    m*floor(v) + max(orbit), the order the scan needs.
+    The certificate's stages are computed here, in the order the run makes
+    them: the admissibility checklist, the cusp table, the bound and the
+    coefficient scan (see Certificate).  A failure of any of them is a
+    certificate outcome, not an exception.  Only an unsupported shape
+    raises UnsupportedInstanceError: an even progression step
+    (admissibility_check) or a group level whose cusps coset_reps does not
+    enumerate, such as 9, 16, 25 or 50.
     """
-    report = admissibility_check(instance)
-    cusps = []
-    for rep in coset_reps(instance.N):
-        eta_ord, lam = cusp_order_bound(rep, instance.m, instance.r)
-        aux = aux_cusp_order(rep, instance.r_prime)
-        cusps.append(CuspEntry(rep, eta_ord, aux, lam))
-    v, members = verification_bound(instance)
-
-    checked = []
-    if report.passed and all(e.total >= 0 for e in cusps):
-        # a negative bound leaves ns empty: nothing is expanded or read, and
-        # every orbit member gets an empty check that passes
-        ns = range(floor(v) + 1)
-        if ns:
-            order = instance.m * floor(v) + max(members)
-            step = gcd(instance.m, *(t_prime - members[0] for t_prime in members))
-            offset = members[0] % step
-            series = _expansion(instance.r, max(members), instance.u, step, offset)
-            if not all(series[(t_prime - offset) // step] for t_prime in members):
-                series = _expansion(instance.r, order, instance.u, step, offset)
-        for t_prime in members:
-            indices = tuple(instance.m * n + t_prime for n in ns)
-            read = ((i, series[(i - offset) // step]) for i in indices)
-            violation, residue = next(((i, c) for i, c in read if c), (None, None))
-            checked.append(ProgressionCheck(t_prime, indices, violation, residue))
-
-    return Certificate(
-        instance=instance,
-        orbit=members,
-        admissibility=report,
-        cusps=tuple(cusps),
-        bound=v,
-        checked=tuple(checked),
-    )
+    cert = Certificate(instance)
+    for stage in ("admissibility", "cusps", "bound", "checked"):
+        getattr(cert, stage)
+    return cert

@@ -8,7 +8,6 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import tsppcong as tc
-from tsppcong.verification import clear_expansion_cache
 
 # exact expansions make single examples slow, so no property test has a
 # deadline; a failure prints the @reproduce_failure blob that replays it
@@ -43,7 +42,7 @@ def instance2():
 @pytest.fixture(scope="session")
 def certificate1(instance1):
     """(certificate, elapsed seconds) for instance1, timed from a cold cache."""
-    clear_expansion_cache()
+    tc.verification._expansion.cache_clear()
     start = time.perf_counter()
     cert = tc.verify_instance(instance1)
     return cert, time.perf_counter() - start
@@ -51,7 +50,7 @@ def certificate1(instance1):
 
 @pytest.fixture(scope="session")
 def certificate2(instance2):
-    clear_expansion_cache()
+    tc.verification._expansion.cache_clear()
     start = time.perf_counter()
     cert = tc.verify_instance(instance2)
     return cert, time.perf_counter() - start

@@ -12,7 +12,7 @@ from math import floor
 
 import tsppcong as tc
 from tsppcong.documents import canonical_json, certificate_to_doc
-from tsppcong.verification import clear_expansion_cache, coset_reps, cusp_order_bound, aux_cusp_order
+from tsppcong.verification import coset_reps, cusp_order_bound, aux_cusp_order
 from test_verification import assert_no_floats
 
 
@@ -194,7 +194,7 @@ def test_criterion_10_property_suites(instance1, instance2, certificate1, certif
 
     # byte determinism: a full recomputation serializes identically
     first = canonical_json(certificate_to_doc(certificate1[0]))
-    clear_expansion_cache()
+    tc.verification._expansion.cache_clear()
     second = canonical_json(certificate_to_doc(tc.verify_instance(instance1)))
     ok = ok and first == second
 

@@ -1,7 +1,11 @@
 """The benchmark's traced runs wrap package functions by module attribute
-(perfbench/tracing.py); every name they wrap must still exist."""
+(perfbench/tracing.py); every name they wrap, and every certificate
+attribute they count, must still exist."""
 
+from dataclasses import replace
 from pathlib import Path
+
+import tsppcong as tc
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
@@ -13,3 +17,25 @@ def test_tracing_hooks_resolve(monkeypatch):
     assert tracing.HOOKS
     for module, attr, span, _ in tracing.HOOKS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} (span {span})"
+
+
+def test_tracing_counts_read_a_certificate(monkeypatch):
+    # the traced runs count each verify call's scanned indices and whether
+    # it needed an expansion off the certificate (tracing._verify_counts),
+    # so a renamed ProgressionCheck.indices or expansion_order fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    # p(5n+4) = 0 (mod 5), the README's smallest example
+    inst = tc.VerificationInstance(
+        m=5, t=4, r=tc.EtaQuotientSpec(1, {1: -1}), r_prime=tc.EtaQuotientSpec(5, {1: 5}), u=5
+    )
+    cert = tc.verify_instance(inst)
+    scanned = len(cert.orbit) * (cert.bound_floor + 1)
+    assert scanned > 0
+    assert tracing._verify_counts((inst,), {}, cert) == {"indices": scanned, "needs_expansion": True}
+
+    # at group level 1 the prime 5 of m does not divide N: no scan runs
+    failing = tc.verify_instance(replace(inst, r_prime=tc.EtaQuotientSpec(1, {1: 24})))
+    assert failing.failure.startswith("admissibility condition failed: m_primes_divide_group_level")
+    assert tracing._verify_counts((failing.instance,), {}, failing) == {"indices": 0, "needs_expansion": False}

@@ -2,14 +2,12 @@
 oracle cross-checks and the regression suite."""
 
 import re
-from dataclasses import replace
-from fractions import Fraction
+from dataclasses import fields, replace
 
 import pytest
 
 import tsppcong as tc
 from tsppcong import cli, documents
-from tsppcong.verification import clear_expansion_cache
 from tsppcong.prover import (
     FAILED,
     NOT_REDUCIBLE,
@@ -148,7 +146,52 @@ def test_claim_whose_classes_all_vanish_proves_without_certificates():
     assert report.verdict == PROVED
 
 
-def test_verdict_is_read_off_the_reduction_and_certificates(proof_825):
+@pytest.fixture
+def inject(monkeypatch):
+    """inject(index, residue): the verifier's eta expansions read residue at
+    coefficient index from then on.  The expansion memo is cleared when the
+    fault is installed and again after the test, so no faulty series
+    outlives it."""
+
+    def install(index, residue):
+        expand = tc.verification.eta_quotient
+
+        def faulty(spec, order, ring, step, offset):
+            series = expand(spec, order, ring, step, offset)
+            slot, off = divmod(index - offset, step)
+            if off or slot > series.order:
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[slot] = residue
+            return replace(series, coeffs=tuple(coeffs))
+
+        monkeypatch.setattr(tc.verification, "eta_quotient", faulty)
+        tc.verification._expansion.cache_clear()
+
+    yield install
+    tc.verification._expansion.cache_clear()
+
+
+def _reprove(proof):
+    """proof's claim proved again, with the hints its certificate was built from."""
+    (cert,) = proof.certificates
+    return tc.prove_tspp_congruence(proof.claim, tc.InstanceHints(cert.instance.N, cert.instance.r_prime))
+
+
+def _assert_failed(report, failure, detail):
+    """report is FAILED with detail, is refused by combine_congruences, and
+    is written with both its own and its certificate's failure."""
+    (cert,) = report.certificates
+    assert (cert.verdict, cert.failure) == ("FAILED", failure)
+    assert (report.verdict, report.detail) == (FAILED, detail)
+    with pytest.raises(ValueError, match=re.escape(f"has verdict FAILED: {detail}")):
+        tc.combine_congruences([report])
+    doc = documents.report_to_doc(report)
+    assert doc["verdict"] == "FAILED" and doc["detail"] == detail
+    assert (doc["certificates"][0]["verdict"], doc["certificates"][0]["failure"]) == ("FAILED", failure)
+
+
+def test_verdict_is_read_off_the_reduction_and_certificates(proof_825, inject):
     # the report stores no verdict: an empty reduction reads NOT-REDUCIBLE,
     # and one certificate that is not VERIFIED makes the whole report FAILED
     bare = ProofReport(proof_825.claim, (), (), "no reduction")
@@ -157,58 +200,52 @@ def test_verdict_is_read_off_the_reduction_and_certificates(proof_825):
         with pytest.raises(ValueError, match=re.escape("(mod 11) has verdict NOT-REDUCIBLE: no reduction")):
             tc.combine_congruences(reports)
 
+    # a fault in the expansion: the scan reads 3 at n = 7 of the first member
     (cert,) = proof_825.certificates
-    tampered = replace(cert.checked[0], first_violation=cert.checked[0].indices[7], residue=3)
-    broken = replace(cert, checked=(tampered, *cert.checked[1:]))
-    assert broken.verdict == "FAILED"
-    report = replace(proof_825, certificates=(broken,))
-    injected = f"coefficient at index {tampered.first_violation} is 3 (mod 11), expected 0"
-    assert (report.verdict, report.detail) == (FAILED, f"class n = 3k+2: {injected}")
+    index = cert.checked[0].indices[7]
+    inject(index, 3)
+    injected = f"coefficient at index {index} is 3 (mod 11), expected 0"
+    _assert_failed(_reprove(proof_825), injected, f"class n = 3k+2: {injected}")
     assert proof_825.detail is None
 
 
-def _scan(cert, member, **changes):
-    """cert with the scan record of one orbit member changed."""
-    checked = tuple(replace(c, **changes) if c.t_prime == member else c for c in cert.checked)
-    return replace(cert, checked=checked)
+def _violation(proof, inject):
+    # the scan of orbit member 604 reads 25 at n = 7
+    inject(625 * 7 + 604, 25)
+    return _reprove(proof)
+
+
+def _swapped(proof, inject):
+    (cert,) = proof.certificates
+    return replace(proof, certificates=(replace(cert, instance=replace(cert.instance, t=230)),))
 
 
 @pytest.mark.parametrize(
-    "proof, tamper, failure",
+    "breaks, failure, detail",
     [
-        ("proof_mod5", lambda c: replace(c, checked=()),
-         "scan records do not cover the orbit [4] through n = 3"),
-        ("proof_125", lambda c: replace(c, checked=c.checked[1:]),
-         "scan records do not cover the orbit [229, 604] through n = 84"),
-        ("proof_125", lambda c: _scan(c, 604, indices=c.checked[1].indices[:-1]),
-         "scan records do not cover the orbit [229, 604] through n = 84"),
-        ("proof_125", lambda c: _scan(c, 604, first_violation=625 * 7 + 604, residue=25),
-         "coefficient at index 4979 is 25 (mod 125), expected 0"),
-        ("proof_125", lambda c: replace(c, admissibility=tc.admissibility_check(replace(c.instance, t=230))),
-         "admissibility condition failed: orbit_step_divides_group_level"),
-        ("proof_125", lambda c: replace(c, cusps=(replace(c.cusps[0], aux_order=Fraction(0)), *c.cusps[1:])),
-         "cusp bound negative at c=1: -25/48"),
+        (_violation, "coefficient at index 4979 is 25 (mod 125), expected 0",
+         "class n = 3k+1: coefficient at index 4979 is 25 (mod 125), expected 0"),
+        (_swapped, "admissibility condition failed: orbit_step_divides_group_level",
+         "class n = 3k+1: its certificate is for another instance"),
     ],
-    ids=["records-emptied", "member-dropped", "scan-cut-short", "violation", "admissibility", "negative-cusp"],
+    ids=["violation", "instance-swapped"],
 )
-def test_tampered_certificate_fails_its_proof(request, proof, tamper, failure):
-    # the verdict is read off the records: a VERIFIED certificate whose
-    # records are edited after the run reads FAILED, and so does its proof
-    proof = request.getfixturevalue(proof)
-    (cert,) = proof.certificates
+def test_tampered_certificate_fails_its_proof(proof_125, inject, breaks, failure, detail):
+    # a certificate built from a faulty expansion, or swapped for one of
+    # another instance, reads FAILED, and so does the proof holding it
+    (cert,) = proof_125.certificates
     assert cert.verdict == "VERIFIED"
-    broken = tamper(cert)
-    assert (broken.verdict, broken.failure) == ("FAILED", failure)
+    _assert_failed(breaks(proof_125, inject), failure, detail)
 
-    (step,) = [s for s in proof.reduction if s.g_claim is not None]
-    report = replace(proof, certificates=(broken,))
-    detail = f"class n = 3k+{step.residue_class}: {failure}"
-    assert (report.verdict, report.detail) == (FAILED, detail)
-    with pytest.raises(ValueError, match=re.escape(f"has verdict FAILED: {detail}")):
-        tc.combine_congruences([report])
-    doc = documents.report_to_doc(report)
-    assert doc["verdict"] == "FAILED" and doc["detail"] == detail
-    assert (doc["certificates"][0]["verdict"], doc["certificates"][0]["failure"]) == ("FAILED", failure)
+
+def test_certificate_stores_only_its_instance(proof_125):
+    # every stage is computed from the instance, so none can be replaced
+    # by a copy that disagrees with it
+    (cert,) = proof_125.certificates
+    assert [f.name for f in fields(cert)] == ["instance"]
+    for name in ("orbit", "admissibility", "cusps", "bound", "checked"):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            replace(cert, **{name: getattr(cert, name)})
 
 
 def test_certificates_must_match_the_classes_one_to_one(proof_mod5, proof_825):
@@ -358,7 +395,7 @@ def test_regression_suite_smoke(monkeypatch):
 
     counting(documents, "published_instances")
     counting(tc.prover, "prove_tspp_congruence")
-    clear_expansion_cache()
+    tc.verification._expansion.cache_clear()
     suite = tc.regression_suite()
     # data/published is read once, and its mod-5 proof serves both mod-55
     # rows: four instance proofs and one published proof

@@ -3,7 +3,7 @@ finite check itself."""
 
 import random
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from fractions import Fraction
 from itertools import islice
 from math import floor, gcd, prod
@@ -18,7 +18,6 @@ from tsppcong import verification
 from tsppcong.documents import canonical_json, certificate_to_doc
 from tsppcong.verification import (
     CuspBound,
-    clear_expansion_cache,
     coset_reps,
     cusp_order_bound,
     aux_cusp_order,
@@ -32,8 +31,9 @@ def assert_no_floats(obj, path="root"):
     if isinstance(obj, (int, str, bytes, Fraction)):
         return
     if is_dataclass(obj):
-        for f in fields(obj):
-            assert_no_floats(getattr(obj, f.name), f"{path}.{f.name}")
+        # vars, not fields: a Certificate's stages are cached properties
+        for name, value in vars(obj).items():
+            assert_no_floats(value, f"{path}.{name}")
     elif isinstance(obj, dict):
         for k, v in obj.items():
             assert_no_floats(v, f"{path}[{k!r}]")
@@ -416,7 +416,7 @@ def test_verifier_expands_only_the_progression_it_reads(monkeypatch):
         return series
 
     monkeypatch.setattr(tc.verification, "eta_quotient", recording)
-    clear_expansion_cache()
+    tc.verification._expansion.cache_clear()
     hints = {doc.claim: doc.hints for doc in tc.shipped_instances()}
     for offset in (125, 1125):
         claim = tc.CongruenceClaim("f", 1250, offset, 125)
@@ -578,7 +578,7 @@ def test_instance_validation():
 
 def test_certificate_is_reproducible_byte_for_byte(tiny_instance):
     first = canonical_json(certificate_to_doc(tc.verify_instance(tiny_instance)))
-    clear_expansion_cache()
+    tc.verification._expansion.cache_clear()
     second = canonical_json(certificate_to_doc(tc.verify_instance(tiny_instance)))
     assert first == second
 
