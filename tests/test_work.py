@@ -1,0 +1,171 @@
+"""Deterministic work pins: the operations each proof, the regression suite
+and a seeded stream of small claims make, counted at the series, counting
+and verifier boundaries.
+
+Timings on a shared machine move by tens of percent from one run to the
+next; these counts do not move at all unless the code changes what it
+computes.  So a change that claims no new work must leave every pin as it
+is, and a change that saves work shows it here exactly.
+
+Counted, per run and from empty expansion memos:
+  eta       each eta_quotient call (verification's and tspp's) and its order;
+  passes    the sparse passes of series._sparse_passes (tspp binds its own
+            name) and their shifted-add elements: per pass, n - e for each
+            term after the first whose weight survives reduction mod u;
+  mul       each series._mul call and its output length n + 1;
+  inverse   each series._inverse call and its size n;
+  slots     the x-slots (order + 2) // 3 of each tspp_series call;
+  scanned   the indices m*n + t' of every certificate verify_instance returns.
+"""
+
+import random
+from dataclasses import dataclass, field
+
+import pytest
+
+import tsppcong as tc
+from tsppcong import prover, series, tspp, verification
+
+
+@dataclass
+class Work:
+    eta: list[int] = field(default_factory=list)
+    passes: int = 0
+    elements: int = 0
+    mul: list[int] = field(default_factory=list)
+    inverse: list[int] = field(default_factory=list)
+    slots: int = 0
+    scanned: int = 0
+
+    def pin(self) -> tuple:
+        """(eta orders, passes, elements, _mul calls, their summed length,
+        _inverse sizes, slots, scanned)"""
+        return (
+            tuple(self.eta), self.passes, self.elements, len(self.mul), sum(self.mul),
+            tuple(self.inverse), self.slots, self.scanned,
+        )
+
+
+@pytest.fixture
+def count(monkeypatch):
+    """count(run): the Work of run(), from empty expansion memos."""
+
+    def wrap(module, name, record):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            record(result, *args, **kwargs)
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    work = Work()
+
+    def passes(result, coeffs, terms, r, modulus):
+        n = len(coeffs)
+        kept = [e for e, w in terms[1:] if modulus is None or w % modulus]
+        work.passes += r
+        work.elements += r * sum(n - e for e in kept)
+
+    def eta(result, spec, order, *args, **kwargs):
+        work.eta.append(order)
+
+    def slots(result, order, *args, **kwargs):
+        work.slots += (order + 2) // 3
+
+    def scanned(cert, instance):
+        work.scanned += sum(len(c.indices) for c in cert.checked)
+
+    for module in (series, tspp):
+        wrap(module, "_sparse_passes", passes)
+    for module in (verification, tspp):
+        wrap(module, "eta_quotient", eta)
+    for module in (tspp, prover):
+        wrap(module, "tspp_series", slots)
+    wrap(series, "_mul", lambda result, pairs, n, modulus: work.mul.append(n + 1))
+    wrap(series, "_inverse", lambda result, times_a, inv0, n, modulus: work.inverse.append(n))
+    wrap(prover, "verify_instance", scanned)
+
+    def run(fn):
+        nonlocal work
+        work = Work()
+        verification._expansion.cache_clear()
+        fn()
+        verification._expansion.cache_clear()
+        return work
+
+    return run
+
+
+# each shipped and published proof, proved alone: two eta calls, the n = 0
+# probe and the full scan, which runs because the probe reads a zero
+PROOF_WORK = {
+    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 273, 494_731_604, 23, 11_170, (121, 10_621), 0, 170),
+    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 273, 494_731_604, 23, 11_170, (121, 10_621), 0, 170),
+    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 30, 311_508_758, 24, 19_958, (96, 19_096), 0, 306),
+    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 30, 311_508_758, 24, 19_958, (96, 19_096), 0, 306),
+    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 87, 4, 8, (1, 4), 0, 4),
+    "f(250n+125) = 0 (mod 25)": ((104, 2229), 62, 996_793, 16, 484, (21, 446), 0, 18),
+}
+
+
+def test_each_proof_does_its_pinned_work(count):
+    docs = (*tc.shipped_instances(), *tc.published_instances())
+    got = {}
+    for doc in docs:
+        work = count(lambda: tc.prove_tspp_congruence(doc.claim, doc.hints))
+        got[doc.claim.describe()] = work.pin()
+    assert got == PROOF_WORK
+
+
+# the slice identity's exact expansion to 833, the three proofs' probe and
+# scan pairs (each mod-125 and mod-11 pair serves both claims through the
+# memo), and tspp_series to 10 000, 5 000 and ORACLE_MAX
+REGRESS_WORK = (
+    (833, 604, 53104, 1054, 210_054, 4, 19), 534, 806_363_005, 62, 32_803,
+    (834, 121, 10_621, 96, 19_096, 1, 4), 21_668, 956,
+)
+
+
+def test_regression_suite_does_its_pinned_work(count):
+    work = count(tc.regression_suite)
+    assert work.pin() == REGRESS_WORK
+
+
+def sweep_claims(seed, count):
+    """count claims f(2mn + B) = 0 (mod p**alpha) with hints N = 2p and
+    r' = {1: k'}, each with some class n = 3k + r on indices 1 (mod 6) and
+    none on 4 (mod 6), so that each reaches the verifier."""
+    rng = random.Random(seed)
+    claims = []
+    while len(claims) < count:
+        p = rng.choice((5, 7, 11, 13))
+        alpha = rng.choice((1, 2)) if p in (5, 7) else 1
+        m = p * rng.choice((1, 3, 5, 7, 11, 13))
+        k_prime = rng.randrange(1, 40)
+        B = rng.randrange(2 * m)
+        residues = {(2 * m * r + B) % 6 for r in range(3)}
+        if 1 in residues and 4 not in residues:
+            hints = tc.InstanceHints(2 * p, tc.EtaQuotientSpec(2 * p, {1: k_prime}))
+            claims.append((tc.CongruenceClaim("f", 2 * m, B, p**alpha), hints))
+    return claims
+
+
+# most of these claims fail the admissibility checklist or a cusp bound,
+# which expand nothing, and claims of one orbit share an expansion
+SWEEP_WORK = (
+    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 198, 155_969, 156, 1402,
+    (1, 1, 1, 1, 1, 1, 1, 6, 7, 1, 1, 1, 1, 1, 10, 1, 1, 1, 39, 1, 51), 0, 6899,
+)
+
+
+def test_sweep_claims_do_their_pinned_work(count):
+    claims = sweep_claims(1, 200)
+
+    def run():
+        for claim, hints in claims:
+            tc.prove_tspp_congruence(claim, hints)
+
+    work = count(run)
+    assert work.pin() == SWEEP_WORK
