@@ -1,11 +1,13 @@
 """The benchmark's traced runs wrap package functions by module attribute
 (perfbench/tracing.py); every name they wrap, and every certificate
-attribute they count, must still exist."""
+attribute they count, must still exist, and each proof stage must run
+inside the span of the proof."""
 
 from dataclasses import replace
 from pathlib import Path
 
 import tsppcong as tc
+from tsppcong import documents, prover
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
@@ -39,3 +41,31 @@ def test_tracing_counts_read_a_certificate(monkeypatch):
     failing = tc.verify_instance(replace(inst, r_prime=tc.EtaQuotientSpec(1, {1: 24})))
     assert failing.failure.startswith("admissibility condition failed: m_primes_divide_group_level")
     assert tracing._verify_counts((failing.instance,), {}, failing) == {"indices": 0, "needs_expansion": False}
+
+
+def test_proof_stages_run_inside_the_proof(monkeypatch):
+    # perfbench attributes time to the layer whose span encloses it, so the
+    # reduction and each verify call must run under prove_tspp_congruence,
+    # not on a later first read such as the writer's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    (doc,) = [d for d in tc.published_instances() if d.claim.modulus == 5]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = prover.prove_tspp_congruence(doc.claim, doc.hints)
+        documents.report_to_doc(report)
+    finally:
+        tracer.uninstall()
+    names = [span["name"] for span in tracer.spans]
+    parents = {
+        span["name"]: names[span["parent"]]
+        for span in tracer.spans
+        if span["name"] in ("tspp.reduce_claim", "verification.verify_instance")
+    }
+    assert parents == {
+        "tspp.reduce_claim": "prover.prove_tspp_congruence",
+        "verification.verify_instance": "prover.prove_tspp_congruence",
+    }
+    assert names.count("tspp.reduce_claim") == names.count("verification.verify_instance") == 1

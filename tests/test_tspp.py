@@ -128,6 +128,20 @@ def test_slice_variant_congruent_to_slice(alpha, p):
     assert tc.slice_variant_series(alpha, p, order, ring) == tc.slice_series(order, ring)
 
 
+def test_variant_congruence_is_checked_mod_the_full_prime_power(monkeypatch):
+    # the (1, 5) vector handed out for (2, 5): (1-q)^5 = (1-q^5) holds mod 5
+    # but not mod 25, where the coefficient of q is -5
+    exact = tc.tspp.slice_variant_spec
+
+    def swapped(alpha, p):
+        return exact(1, 5) if (alpha, p) == (2, 5) else exact(alpha, p)
+
+    monkeypatch.setattr(tc.tspp, "slice_variant_spec", swapped)
+    check = tc.check_variant_congruence(2, 5)
+    assert (check.checked, check.first_violation) == (2, 1)
+    assert check.detail == "coefficient 1 is 20 in (1-q)^5 but 0 in (1-q^5) (mod 25)"
+
+
 def test_scan_stops_at_the_first_failure():
     assert scan([]) == (0, None)
     assert scan((n, True) for n in range(7)) == (7, None)
@@ -153,22 +167,26 @@ def test_check_support():
 
 def test_checks_report_their_first_violation(monkeypatch):
     # f(9) sits on the vanishing support (checked sixth, after 2, 3, 5, 6, 8)
-    # and f(13) = slice(2) = 2; both checks read one corrupted expansion
+    # and f(13) = slice(2) = 2; both checks read one corrupted expansion.
+    # The slice identity is an equality, so a change of f(13) by 2, which
+    # keeps its parity, is a violation too
     exact = tc.tspp_series
 
-    def corrupted(order, ring=tc.INTEGERS):
-        coeffs = list(exact(order, ring).coeffs)
-        coeffs[9] += 4
-        coeffs[13] += 1
-        return tc.TruncatedSeries(ring, tuple(coeffs))
+    for delta in (1, 2):
 
-    monkeypatch.setattr(tc.tspp, "tspp_series", corrupted)
-    support = tc.check_support(100)
-    assert (support.checked, support.first_violation) == (6, 9)
-    assert support.detail == "count at index 9 is 4, expected 0"
-    identity = tc.check_slice_identity(100)
-    assert (identity.checked, identity.first_violation) == (3, 13)
-    assert identity.detail == "count(13) = 3 but slice(2) = 2"
+        def corrupted(order, ring=tc.INTEGERS):
+            coeffs = list(exact(order, ring).coeffs)
+            coeffs[9] += 4
+            coeffs[13] += delta
+            return tc.TruncatedSeries(ring, tuple(coeffs))
+
+        monkeypatch.setattr(tc.tspp, "tspp_series", corrupted)
+        support = tc.check_support(100)
+        assert (support.checked, support.first_violation) == (6, 9)
+        assert support.detail == "count at index 9 is 4, expected 0"
+        identity = tc.check_slice_identity(100)
+        assert (identity.checked, identity.first_violation) == (3, 13)
+        assert identity.detail == f"count(13) = {2 + delta} but slice(2) = 2"
 
 
 def test_check_slice_identity():
