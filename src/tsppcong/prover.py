@@ -2,6 +2,10 @@
 slice-variant claims, combine proved moduli, and cross-check everything
 against the brute-force counting series.
 
+A proof is its claim and its hints: a ProofReport stores only those two and
+computes its reduction and certificates from them, as a Certificate does
+from its instance.  Combining proved reports yields the combined claim.
+
 The verifier needs two inputs that no algorithm here chooses for you: the
 group level N and the auxiliary exponent vector r'.  They ship as data files
 next to the claims they belong to (see the data directory) and enter through
@@ -44,40 +48,49 @@ ORACLE_MAX = 50_000
 
 @dataclass(frozen=True)
 class ProofReport:
-    """A claim, its reduction and the certificates of the classes the
-    reduction leaves to verify, one per class in the reduction's order.
-    reason is stored only for an empty reduction: the NotReducibleError
-    text.
+    """A claim and the hints its classes are verified with.
 
-    The verdict and the detail are read off the pairs of a class to verify
-    and its certificate.  The verdict is NOT-REDUCIBLE when the reduction is
-    empty.  It is PROVED when there are as many certificates as classes to
-    verify, each VERIFIED, and each for its own class: its instance is
-    build_instance(class, certificate.instance.r_prime), the same m, t, r
-    and u with the certificate's own r'.  A claim whose classes all vanish
-    needs none.  Otherwise it is FAILED, and the detail says why.
+    A report stores only these two.  Everything else is computed from them
+    once, on first read: the reduction (reduce_claim; empty when the claim
+    is not reducible, and the NotReducibleError text is kept for detail),
+    the certificates (one verify_instance(build_instance(class,
+    hints.r_prime)) per class to verify, in the reduction's order), detail
+    and verdict.  So no certificate can be for another class, and
+    dataclasses.replace accepts no field but claim and hints.
+
+    The verdict is NOT-REDUCIBLE when the reduction is empty.  It is PROVED
+    when every certificate is VERIFIED; a claim whose classes all vanish
+    needs none.  Otherwise it is FAILED, and the detail names each failed
+    class and its certificate's failure.
     """
 
     claim: CongruenceClaim
-    reduction: tuple[ReductionStep, ...]
-    certificates: tuple[Certificate, ...]
-    reason: str | None = None
+    hints: InstanceHints
+
+    @cached_property
+    def _reduced(self) -> tuple[tuple[ReductionStep, ...], str | None]:
+        try:
+            return reduce_claim(self.claim), None
+        except NotReducibleError as exc:
+            return (), str(exc)
+
+    @property
+    def reduction(self) -> tuple[ReductionStep, ...]:
+        return self._reduced[0]
+
+    @cached_property
+    def certificates(self) -> tuple[Certificate, ...]:
+        classes = (step.g_claim for step in self.reduction if step.g_claim)
+        return tuple(verify_instance(build_instance(g_claim, self.hints.r_prime)) for g_claim in classes)
 
     @cached_property
     def detail(self) -> str | None:
-        """None for a PROVED report; otherwise the reason, or why the
-        certificates do not match the classes, or each class's failure."""
-        if not self.reduction:
-            return self.reason
-        classes = [step for step in self.reduction if step.g_claim is not None]
-        if len(classes) != len(self.certificates):
-            return f"{len(self.certificates)} certificate(s) for {len(classes)} class(es) to verify"
-        pairs = list(zip(classes, self.certificates))
-        stray = next((s for s, c in pairs if c.instance != build_instance(s.g_claim, c.instance.r_prime)), None)
-        if stray is not None:
-            return f"class n = 3k+{stray.residue_class}: its certificate is for another instance"
+        """None for a PROVED report; otherwise the NotReducibleError text,
+        or each failed class's certificate failure."""
+        steps, reason = self._reduced
+        pairs = zip((step for step in steps if step.g_claim), self.certificates)
         failures = [f"class n = 3k+{s.residue_class}: {c.failure}" for s, c in pairs if c.verdict != "VERIFIED"]
-        return "; ".join(failures) or None
+        return reason or "; ".join(failures) or None
 
     @property
     def verdict(self) -> str:
@@ -116,28 +129,25 @@ def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> Proof
     """Reduce a counting-sequence claim and verify each class the reduction
     leaves to verify, with the same hints for all of them.
 
-    The report pairs each such class with its certificate; it is PROVED
-    exactly when every residue class is closed, by the vanishing support or
-    by a VERIFIED certificate.
+    The report's stages are computed here, in the order the proof makes
+    them: the reduction, then the certificates (see ProofReport).  It is
+    PROVED exactly when every residue class is closed, by the vanishing
+    support or by a VERIFIED certificate.
     """
-    try:
-        steps = reduce_claim(claim)
-    except NotReducibleError as exc:
-        return ProofReport(claim, (), (), str(exc))
-    certificates = tuple(
-        verify_instance(build_instance(s.g_claim, hints.r_prime)) for s in steps if s.g_claim is not None
-    )
-    return ProofReport(claim, steps, certificates)
+    report = ProofReport(claim, hints)
+    for stage in ("reduction", "certificates"):
+        getattr(report, stage)
+    return report
 
 
-def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
+def combine_congruences(reports: Sequence[ProofReport]) -> CongruenceClaim:
     """Chinese-remainder combination of proved congruences on one progression.
 
     The target is the first report's progression; every report must be
     PROVED, every report's claim must contain the target, and the moduli
-    must be pairwise coprime, or ValueError says which does not hold.  The
-    result carries every report's classes and certificates in order, so its
-    verdict is read off the same pairs.
+    must be pairwise coprime, or ValueError says which does not hold.  Then
+    the target holds modulo the product of the moduli, and that claim is
+    returned.
     """
     if not reports:
         raise ValueError("need at least one proved report to combine")
@@ -150,9 +160,7 @@ def combine_congruences(reports: Sequence[ProofReport]) -> ProofReport:
             raise ValueError(f"{rep.claim.describe()} does not contain {target.describe()}")
     if lcm(*moduli) != prod(moduli):
         raise ValueError(f"moduli {moduli} are not pairwise coprime")
-    combined = CongruenceClaim("f", target.step, target.offset, prod(moduli))
-    reduction = tuple(s for rep in reports for s in rep.reduction)
-    return ProofReport(combined, reduction, tuple(c for rep in reports for c in rep.certificates))
+    return replace(target, modulus=prod(moduli))
 
 
 def oracle_check(claim: CongruenceClaim, counts: TruncatedSeries) -> CheckReport:
@@ -264,8 +272,8 @@ def regression_suite() -> SuiteReport:
     for pub, claim, target in combinations:
         name = f"combined {target.describe()}"
         try:
-            combined = combine_congruences([proofs[claim], proofs[pub.claim]])
-            entries.append(SuiteEntry(name, "pass", f"verdict {combined.verdict}"))
+            combine_congruences([proofs[claim], proofs[pub.claim]])
+            entries.append(SuiteEntry(name, "pass", f"verdict {PROVED}"))
         except ValueError as exc:
             entries.append(SuiteEntry(name, "fail", str(exc)))
 

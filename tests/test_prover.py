@@ -173,9 +173,8 @@ def inject(monkeypatch):
 
 
 def _reprove(proof):
-    """proof's claim proved again, with the hints its certificate was built from."""
-    (cert,) = proof.certificates
-    return tc.prove_tspp_congruence(proof.claim, tc.InstanceHints(cert.instance.N, cert.instance.r_prime))
+    """proof's claim proved again, with its hints."""
+    return tc.prove_tspp_congruence(proof.claim, proof.hints)
 
 
 def _assert_failed(report, failure, detail):
@@ -194,10 +193,12 @@ def _assert_failed(report, failure, detail):
 def test_verdict_is_read_off_the_reduction_and_certificates(proof_825, inject):
     # the report stores no verdict: an empty reduction reads NOT-REDUCIBLE,
     # and one certificate that is not VERIFIED makes the whole report FAILED
-    bare = ProofReport(proof_825.claim, (), (), "no reduction")
-    assert (bare.verdict, bare.detail) == (NOT_REDUCIBLE, "no reduction")
+    bare = ProofReport(replace(proof_825.claim, modulus=6), proof_825.hints)
+    reason = "modulus 6 is not a prime power"
+    assert (bare.reduction, bare.certificates) == ((), ())
+    assert (bare.verdict, bare.detail) == (NOT_REDUCIBLE, reason)
     for reports in ([bare], [proof_825, bare]):
-        with pytest.raises(ValueError, match=re.escape("(mod 11) has verdict NOT-REDUCIBLE: no reduction")):
+        with pytest.raises(ValueError, match=re.escape(f"(mod 6) has verdict NOT-REDUCIBLE: {reason}")):
             tc.combine_congruences(reports)
 
     # a fault in the expansion: the scan reads 3 at n = 7 of the first member
@@ -215,24 +216,17 @@ def _violation(proof, inject):
     return _reprove(proof)
 
 
-def _swapped(proof, inject):
-    (cert,) = proof.certificates
-    return replace(proof, certificates=(replace(cert, instance=replace(cert.instance, t=230)),))
-
-
 @pytest.mark.parametrize(
     "breaks, failure, detail",
     [
         (_violation, "coefficient at index 4979 is 25 (mod 125), expected 0",
          "class n = 3k+1: coefficient at index 4979 is 25 (mod 125), expected 0"),
-        (_swapped, "admissibility condition failed: orbit_step_divides_group_level",
-         "class n = 3k+1: its certificate is for another instance"),
     ],
-    ids=["violation", "instance-swapped"],
+    ids=["violation"],
 )
 def test_tampered_certificate_fails_its_proof(proof_125, inject, breaks, failure, detail):
-    # a certificate built from a faulty expansion, or swapped for one of
-    # another instance, reads FAILED, and so does the proof holding it
+    # a certificate built from a faulty expansion reads FAILED, and so does
+    # the proof holding it
     (cert,) = proof_125.certificates
     assert cert.verdict == "VERIFIED"
     _assert_failed(breaks(proof_125, inject), failure, detail)
@@ -248,29 +242,20 @@ def test_certificate_stores_only_its_instance(proof_125):
             replace(cert, **{name: getattr(cert, name)})
 
 
-def test_certificates_must_match_the_classes_one_to_one(proof_mod5, proof_825):
-    # each class to verify needs exactly one VERIFIED certificate of its own
-    # instance; a certificate that is VERIFIED for another claim does not count
-    (cert,) = proof_mod5.certificates
-    assert proof_mod5.verdict == PROVED and proof_825.verdict == PROVED
-    for certificates, detail in (
-        ((), "0 certificate(s) for 1 class(es) to verify"),
-        ((cert, cert), "2 certificate(s) for 1 class(es) to verify"),
-        (proof_825.certificates, "class n = 3k+2: its certificate is for another instance"),
-    ):
-        report = replace(proof_mod5, certificates=certificates)
-        assert (report.verdict, report.detail) == (FAILED, detail)
-        message = f"f(10n+5) = 0 (mod 5) has verdict FAILED: {detail}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            tc.combine_congruences([report])
+def test_report_stores_only_its_claim_and_hints(proof_mod5):
+    # the reduction and the certificates are computed from the claim and the
+    # hints, so none can be replaced by a copy for another claim or class
+    assert [f.name for f in fields(proof_mod5)] == ["claim", "hints"]
+    for name in ("reduction", "certificates", "reason"):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            replace(proof_mod5, **{name: ()})
 
-    # the hints may differ (r' is the certificate's own); the class may not
+    # other hints give other certificates for the same class
     other_hints = tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 2}))
-    (other,) = tc.prove_tspp_congruence(proof_mod5.claim, other_hints).certificates
-    assert other.verdict == "VERIFIED"
-    assert replace(proof_mod5, certificates=(other,)).verdict == PROVED
-    shifted = replace(other, instance=replace(other.instance, t=(other.instance.t + 1) % other.instance.m))
-    assert replace(proof_mod5, certificates=(shifted,)).verdict == FAILED
+    other = ProofReport(proof_mod5.claim, other_hints)
+    (cert,) = other.certificates
+    assert cert.instance == replace(proof_mod5.certificates[0].instance, r_prime=other_hints.r_prime)
+    assert (cert.verdict, other.verdict) == ("VERIFIED", PROVED)
 
 
 @pytest.mark.parametrize("claim", [(3, 0, 5), (6, 0, 7), (9, 0, 4)])
@@ -285,12 +270,7 @@ def test_progression_through_index_0_is_not_reducible(claim):
 
 def test_combine_with_the_published_mod5_proof(proof_825, proof_mod5):
     # f(10n+5) = 0 (mod 5) contains the target progression f(2750n+825)
-    combined = tc.combine_congruences([proof_825, proof_mod5])
-    assert combined.verdict == PROVED
-    assert combined.claim == tc.CongruenceClaim("f", 2750, 825, 55)
-    assert combined.reduction == proof_825.reduction + proof_mod5.reduction
-    assert combined.certificates == proof_825.certificates + proof_mod5.certificates
-    assert combined.detail is None
+    assert tc.combine_congruences([proof_825, proof_mod5]) == tc.CongruenceClaim("f", 2750, 825, 55)
     with pytest.raises(ValueError, match="does not contain"):
         tc.combine_congruences([proof_mod5, proof_825])  # the target is the first report's
 
