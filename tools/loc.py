@@ -26,7 +26,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+            value = first.value if isinstance(first, ast.Expr) else None
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
                 lines.update(range(first.lineno, first.end_lineno + 1))
     return lines
 
