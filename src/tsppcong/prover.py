@@ -130,12 +130,13 @@ def prove_tspp_congruence(claim: CongruenceClaim, hints: InstanceHints) -> Proof
     leaves to verify, with the same hints for all of them.
 
     The report's stages are computed here, in the order the proof makes
-    them: the reduction, then the certificates (see ProofReport).  It is
-    PROVED exactly when every residue class is closed, by the vanishing
-    support or by a VERIFIED certificate.
+    them: the reduction, the certificates, then the detail they decide (see
+    ProofReport), so that no later reader, such as the document writer,
+    computes one first.  It is PROVED exactly when every residue class is
+    closed, by the vanishing support or by a VERIFIED certificate.
     """
     report = ProofReport(claim, hints)
-    for stage in ("reduction", "certificates"):
+    for stage in ("reduction", "certificates", "detail"):
         getattr(report, stage)
     return report
 

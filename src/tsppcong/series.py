@@ -26,12 +26,27 @@ the expansion; the last negative factor then computes only the coefficients
 the progression reads, as a sum of step / gcd(step, d) products of
 interleaved pieces.  Everything is exact: fixed-width integer or object
 numpy arrays and Python ints, no floating point.
+
+Over Z/u with u = p**alpha, each exponent r on (q^d; q^d) with
+k = r // p >= alpha is first rewritten (_frobenius_rewrite).  With
+z = (q^d; q^d)^p and F = (q^pd; q^pd),
+
+    (q^d; q^d)^r = (q^d; q^d)^(r % p) * sum_{j<alpha} e_j z^j F^(k-j)  (mod u),
+    e_j = sum_{i=j}^{alpha-1} (-1)^(i-j) C(k, i) C(i, j).
+
+Proof: (1 - x)^p = 1 - x^p (mod p), so y = z/F lies in 1 + p*Z[[q]] and
+(y - 1)^i in p^i * Z[[q]]; so z^k = F^k (1 + (y - 1))^k is F^k times the
+binomial sum over i < alpha, whose terms expand to the e_j z^j F^(k-j).
+F^(k-alpha+1) joins the exponent on p*d, which is rewritten in turn, and the
+rest costs alpha - 1 Horner steps, each one multiply by z, one pass over the
+dilated F and one axpy.  Over Z, modulo a composite, or with k < alpha the
+exponent is expanded by passes as it stands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import Mapping
 
 import numpy as np
@@ -373,7 +388,15 @@ def eta_quotient(
     product a*g at each doubling is r // 3 + r % 3 such passes over g.  The
     dilated inverse touches only exponents divisible by d, so each residue
     class of the exponent mod d is multiplied by the undilated inverse on its
-    own.  The last negative factor computes only what the progression reads.
+    own.  Over Z/p**alpha an exponent r with k = r // p >= alpha costs
+    instead the passes of the exponent r % p and alpha - 1 Horner steps,
+    each the p // 3 + p % 3 passes of z = (q^d; q^d)^p, one pass over the
+    dilated F = (q^pd; q^pd) and one axpy; k - alpha + 1 joins the exponent
+    on p*d (see the module docstring).  Mod 125 the slice variant
+    {1: 123, 2: 3, 5: -25} becomes (q;q)^3 (q^2;q^2)^3 H(z, F) / (q^5;q^5)^3:
+    10 passes where (q;q)^123 alone took 41, and the inverse of (q;q)^3
+    instead of (q;q)^25.
+    The last negative factor computes only what the progression reads.
     With g = gcd(step, d) and period = step // g, the class of rho holds the
     exponents rho + d*j; it is read iff rho = offset (mod g), and then only
     at j = s (mod period), where s = ((offset - rho) / g) * (d / g)**-1 mod
@@ -388,14 +411,25 @@ def eta_quotient(
     if offset > order:
         raise ValueError(f"offset {offset} is beyond the truncation order {order}")
     u = ring.modulus
-    out = [1] + [0] * order
-    for d, r in spec.nonzero():
+    exponents = dict(spec.exponents)
+    out = np.zeros(order + 1, dtype=np.int64)
+    out[0] = 1
+    for d, p, e in _frobenius_rewrite(exponents, u):
+        # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
+        # for j = m-1, ..., 0, where out holds F^(m-j) X
+        acc = _axpy(0, e[-1], out, u)
+        for e_j in reversed(e[:-1]):
+            out = _euler_power(out, p * d, 1, u)
+            acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
+        out = acc
+    for d, r in exponents.items():
         if r > 0:
             out = _euler_power(out, d, r, u)
-    negative = [(d, -r) for d, r in spec.nonzero() if r < 0]
+    out = out.tolist()
+    negative = [(d, -r) for d, r in exponents.items() if r < 0]
     for d, r in negative:
         inv = _inverse(
-            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u), 1, order // d + 1, u
+            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u).tolist(), 1, order // d + 1, u
         )
         # only the last factor's outputs are final, so only it may skip some:
         # out[rho + d*j] is read iff rho = offset (mod g) and j = s (mod period)
@@ -423,11 +457,51 @@ def jacobi_terms(delta: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _euler_power(coeffs: list[int], d: int, r: int, modulus: int | None) -> list[int]:
-    """coeffs * (q^d; q^d)**r for r >= 0: r // 3 Jacobi passes, r % 3 Euler passes."""
+def _euler_power(coeffs, d: int, r: int, modulus: int | None) -> np.ndarray:
+    """coeffs * (q^d; q^d)**r for r >= 1, an array: r // 3 Jacobi passes,
+    r % 3 Euler passes."""
     n = len(coeffs) - 1
     coeffs = _sparse_passes(coeffs, jacobi_terms(d, n), r // 3, modulus)
     return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus)
+
+
+def _frobenius_rewrite(exponents: dict[int, int], modulus: int | None) -> list[tuple[int, int, list[int]]]:
+    """Over Z/p**alpha, rewrite in place each exponent r on (q^d; q^d) with
+    k = r // p >= alpha to r % p, add k - alpha + 1 to the exponent on p*d,
+    and return (d, p, e) for what is left, the polynomial
+    sum_{j<alpha} e[j] z^j F^(alpha-1-j) in z = (q^d; q^d)^p, F = (q^pd; q^pd),
+    with e reduced mod u (see the module docstring).  Return [] otherwise.
+
+    The divisors are visited in ascending order, the new ones p*d included,
+    so p*d comes after the d that feeds it, and a netted exponent is
+    rewritten in turn.  p is sought by trial division only up to the
+    largest positive exponent, since a rewrite needs p <= r, and u is then
+    checked to be a power of p: u itself is never factored.
+    """
+    top = max(exponents.values(), default=0)
+    p = next((p for p in range(2, top + 1) if modulus % p == 0), None) if modulus else None
+    alpha, rest = 0, modulus
+    while p and rest % p == 0:
+        alpha, rest = alpha + 1, rest // p
+    polys, d = [], 0
+    while rest == 1 and (d := min((x for x in exponents if x > d), default=0)):
+        k = exponents[d] // p
+        if k >= alpha:
+            e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % modulus
+                 for j in range(alpha)]
+            polys.append((d, p, e))
+            exponents[d], exponents[p * d] = exponents[d] % p, exponents.get(p * d, 0) + k - alpha + 1
+    return polys
+
+
+def _axpy(a, e: int, b: np.ndarray, modulus: int) -> np.ndarray:
+    """(a + e*b) mod u for residues a (an array, or 0), e and b, in one array
+    whose dtype array_dtype picks for the bound u*u above every value."""
+    out = np.array(b, dtype=array_dtype(modulus * modulus))
+    np.multiply(out, e, out=out)
+    np.add(out, np.array(a, dtype=out.dtype), out=out)
+    np.remainder(out, modulus, out=out)
+    return out
 
 
 def array_dtype(bound: int | None):
@@ -440,8 +514,8 @@ def array_dtype(bound: int | None):
 
 
 def _sparse_passes(
-    coeffs: list[int], terms: list[tuple[int, int]], r: int, modulus: int | None
-) -> list[int]:
+    coeffs, terms: list[tuple[int, int]], r: int, modulus: int | None
+) -> np.ndarray:
     """coeffs * (sum of w * q^e over terms)**r, for (exponent, weight) terms
     that start with (0, 1), by r passes of weighted shifted additions.
 
@@ -450,7 +524,9 @@ def _sparse_passes(
     per group, over the prefix the group's smallest shift reads (acc itself
     when |w| = 1), and adds or subtracts one shifted view of it per term.  A
     pass sums residues below u times the weights, so its values stay below
-    u * sum|w|, the bound that picks the array's dtype.
+    u * sum|w|, the bound that picks the array's dtype.  coeffs is a list or
+    an array, and the product is returned in that dtype's array (coeffs
+    itself when r = 0), so chained passes convert from a list once.
     """
     if r == 0:
         return coeffs
@@ -483,4 +559,4 @@ def _sparse_passes(
             np.copyto(acc, work)
         else:
             np.remainder(work, modulus, out=acc)
-    return acc.tolist()
+    return acc

@@ -271,6 +271,10 @@ def check_variant_congruence(alpha: int, p: int) -> CheckReport:
     L and R are expanded exactly over Z through the larger of their degrees;
     the report names the identity, or the first coefficient where the two
     differ mod u.
+
+    The verifier's expansion of the variant mod u rests on the same
+    congruence: series.eta_quotient rewrites the exponent p**alpha - 2 on
+    (q; q) through (q; q)^p = (q^p; q^p) (mod p), see the series module.
     """
     ratio = dict(slice_variant_spec(alpha, p).exponents)
     for d, e in SLICE_SPEC.exponents:
@@ -294,7 +298,7 @@ def _binomial_product(factors: list[tuple[int, int]], degree: int) -> tuple[list
     for d, e in factors:
         coeffs = _sparse_passes(coeffs, [(0, 1), (d, -1)], e, None)
     text = "".join(("(1-q)" if d == 1 else f"(1-q^{d})") + (f"^{e}" if e > 1 else "") for d, e in factors)
-    return coeffs, text or "1"
+    return list(coeffs), text or "1"
 
 
 # ---------------------------------------------------------------------------

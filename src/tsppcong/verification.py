@@ -537,14 +537,15 @@ def verify_instance(instance: VerificationInstance) -> Certificate:
     """Run the whole finite check and return its Certificate.
 
     The certificate's stages are computed here, in the order the run makes
-    them: the admissibility checklist, the cusp table, the bound and the
-    coefficient scan (see Certificate).  A failure of any of them is a
-    certificate outcome, not an exception.  Only an unsupported shape
-    raises UnsupportedInstanceError: an even progression step
-    (admissibility_check) or a group level whose cusps coset_reps does not
-    enumerate, such as 9, 16, 25 or 50.
+    them: the admissibility checklist, the cusp table, the bound, the
+    coefficient scan and last the failure they decide (see Certificate), so
+    that no later reader, such as the document writer, computes one first.
+    A failure of any of them is a certificate outcome, not an exception.
+    Only an unsupported shape raises UnsupportedInstanceError: an even
+    progression step (admissibility_check) or a group level whose cusps
+    coset_reps does not enumerate, such as 9, 16, 25 or 50.
     """
     cert = Certificate(instance)
-    for stage in ("admissibility", "cusps", "bound", "checked"):
+    for stage in ("admissibility", "cusps", "bound", "checked", "failure"):
         getattr(cert, stage)
     return cert

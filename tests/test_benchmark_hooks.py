@@ -69,3 +69,21 @@ def test_proof_stages_run_inside_the_proof(monkeypatch):
         "verification.verify_instance": "prover.prove_tspp_congruence",
     }
     assert names.count("tspp.reduce_claim") == names.count("verification.verify_instance") == 1
+
+
+def test_verdict_is_decided_inside_the_proof():
+    # the report's detail and each certificate's failure are computed by
+    # prove_tspp_congruence itself, so the writer (documents.serialize)
+    # only reads them: proved, failed and not-reducible claims alike
+    (doc,) = [d for d in tc.published_instances() if d.claim.modulus == 5]
+    failing = tc.InstanceHints(5, tc.EtaQuotientSpec(5, {1: 13}))
+    claims = [
+        (doc.claim, doc.hints),
+        (doc.claim, failing),
+        (tc.CongruenceClaim("f", 6, 4, 5), doc.hints),
+    ]
+    reports = [prover.prove_tspp_congruence(claim, hints) for claim, hints in claims]
+    for report in reports:
+        assert "detail" in vars(report)
+        assert all("failure" in vars(cert) for cert in report.certificates)
+    assert [r.verdict for r in reports] == [prover.PROVED, prover.FAILED, prover.NOT_REDUCIBLE]

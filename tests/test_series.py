@@ -28,6 +28,12 @@ def exact(values):
     return tc.TruncatedSeries(tc.INTEGERS, tuple(values))
 
 
+@lru_cache(maxsize=None)
+def exact_expansion(spec, order):
+    """The coefficients of eta_quotient over Z, which no rewrite touches."""
+    return tc.eta_quotient(spec, order).coeffs
+
+
 # ---------------------------------------------------------------------------
 # pentagonal series
 # ---------------------------------------------------------------------------
@@ -246,11 +252,13 @@ def test_eta_quotient_spec_validation():
 
 @pytest.mark.parametrize("u", MODULI)
 def test_eta_quotient_vector_kernel_matches_exact(u):
+    # the mod-125 variant; each modulus here is a prime power that rewrites
+    # the exponent 123, and mod 125 the expansion is (q;q)^3 (q^2;q^2)^3
+    # (3F^2 + 97zF + 26z^2) / (q^5;q^5)^3, z = (q;q)^5 and F = (q^5;q^5)
     spec = tc.EtaQuotientSpec(10, {1: 123, 2: 3, 5: -25, 10: 0})
-    order = 80
-    fast = tc.eta_quotient(spec, order, tc.residues_mod(u))
-    slow = tc.eta_quotient(spec, order, tc.INTEGERS).reduced(u)
-    assert fast == slow
+    order = 3_000
+    fast = tc.eta_quotient(spec, order, tc.residues_mod(u)).coeffs
+    assert fast == tuple(c % u for c in exact_expansion(spec, order))
 
 
 @lru_cache(maxsize=None)
@@ -263,10 +271,10 @@ def euler_power(delta, r, order):
 
 
 @st.composite
-def eta_specs(draw):
+def eta_specs(draw, bound=6):
     level = draw(st.integers(1, 12))
     divs = [d for d in range(1, level + 1) if level % d == 0]
-    exponents = {d: draw(st.integers(-6, 6)) for d in divs}
+    exponents = {d: draw(st.integers(-bound, bound)) for d in divs}
     return tc.EtaQuotientSpec(level, exponents)
 
 
@@ -356,6 +364,50 @@ def test_eta_quotient_progression_with_a_period(spec, order, step, offset, modul
         full = tc.eta_quotient(spec, order, ring).coeffs
         got = tc.eta_quotient(spec, order, ring, step, offset).coeffs
         assert got == full[offset::step], u
+
+
+# ---------------------------------------------------------------------------
+# the rewrite mod p**alpha: (q^d;q^d)^p = (q^pd;q^pd) (mod p)
+# ---------------------------------------------------------------------------
+
+# prime powers to alpha = 3, where exponents of 130 reach k = r // p >= alpha
+PRIME_POWERS = [2, 4, 8, 3, 9, 27, 5, 25, 125, 7, 49]
+
+
+@given(spec=eta_specs(130), order=st.integers(0, 200), u=st.sampled_from(PRIME_POWERS), data=st.data())
+def test_eta_quotient_mod_prime_power_is_the_exact_expansion_reduced(spec, order, u, data):
+    # mod p**alpha every exponent with r // p >= alpha is rewritten through
+    # Horner steps and the dilated F; over Z nothing is, so this compares
+    # the two paths residue for residue
+    step = data.draw(st.integers(1, 12), label="step")
+    offset = data.draw(st.integers(0, min(step - 1, order)), label="offset")
+    got = tc.eta_quotient(spec, order, tc.residues_mod(u), step, offset).coeffs
+    assert got == tuple(c % u for c in exact_expansion(spec, order)[offset::step])
+
+
+def test_frobenius_chain_collapses_to_one_dilated_product():
+    # (q;q)^625 = (q^5;q^5)^125 = ... = (q^625;q^625) (mod 5)
+    ring = tc.residues_mod(5)
+    for order in (0, 624, 625, 5_000):
+        got = tc.eta_quotient(tc.EtaQuotientSpec(1, {1: 625}), order, ring)
+        assert got == tc.pentagonal_series(625, order, ring), order
+
+
+def test_eta_quotient_never_factors_the_modulus(monkeypatch):
+    # the prime is sought only up to the largest positive exponent, so a
+    # large prime modulus or one with large prime factors costs no factoring
+    spec = tc.EtaQuotientSpec(10, {1: 123, 2: 3, 5: -25})
+    exact = exact_expansion(spec, 300)
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) was called")
+
+    monkeypatch.setattr(tc.arith, "factorize", refuse)
+    # 2**61 - 1 is prime, HUGE_MODULUS has the factor 5 but is no power of
+    # it, and 3**39, whose square overflows int64, is rewritten
+    for u in (2**61 - 1, HUGE_MODULUS, 3**39):
+        got = tc.eta_quotient(spec, 300, tc.residues_mod(u)).coeffs
+        assert got == tuple(c % u for c in exact), u
 
 
 def test_eta_quotient_rejects_bad_progressions():
