@@ -27,9 +27,9 @@ the progression reads, as a sum of step / gcd(step, d) products of
 interleaved pieces.  Everything is exact: fixed-width integer or object
 numpy arrays and Python ints, no floating point.
 
-Over Z/u with u = p**alpha, each exponent r on (q^d; q^d) with
-k = r // p >= alpha is first rewritten (_frobenius_rewrite).  With
-z = (q^d; q^d)^p and F = (q^pd; q^pd),
+Over Z/u with u = p**alpha, an exponent r on (q^d; q^d) with
+k = r // p >= alpha may be rewritten.  With z = (q^d; q^d)^p and
+F = (q^pd; q^pd),
 
     (q^d; q^d)^r = (q^d; q^d)^(r % p) * sum_{j<alpha} e_j z^j F^(k-j)  (mod u),
     e_j = sum_{i=j}^{alpha-1} (-1)^(i-j) C(k, i) C(i, j).
@@ -37,10 +37,12 @@ z = (q^d; q^d)^p and F = (q^pd; q^pd),
 Proof: (1 - x)^p = 1 - x^p (mod p), so y = z/F lies in 1 + p*Z[[q]] and
 (y - 1)^i in p^i * Z[[q]]; so z^k = F^k (1 + (y - 1))^k is F^k times the
 binomial sum over i < alpha, whose terms expand to the e_j z^j F^(k-j).
-F^(k-alpha+1) joins the exponent on p*d, which is rewritten in turn, and the
-rest costs alpha - 1 Horner steps, each one multiply by z, one pass over the
-dilated F and one axpy.  Over Z, modulo a composite, or with k < alpha the
-exponent is expanded by passes as it stands.
+F^(k-alpha+1) joins the exponent on p*d, and the rest costs alpha - 1
+Horner steps, each one multiply by z, one pass over the dilated F and one
+axpy.  With P(x) = x // 3 + x % 3 passes for an exponent x, the rewrite is
+taken where it makes fewer passes at level d,
+P(r % p) + (alpha - 1) * (P(p) + 1) < P(r); otherwise, over Z, or modulo
+a composite, the exponent is expanded by passes as it stands.
 """
 
 from __future__ import annotations
@@ -388,14 +390,16 @@ def eta_quotient(
     product a*g at each doubling is r // 3 + r % 3 such passes over g.  The
     dilated inverse touches only exponents divisible by d, so each residue
     class of the exponent mod d is multiplied by the undilated inverse on its
-    own.  Over Z/p**alpha an exponent r with k = r // p >= alpha costs
-    instead the passes of the exponent r % p and alpha - 1 Horner steps,
-    each the p // 3 + p % 3 passes of z = (q^d; q^d)^p, one pass over the
-    dilated F = (q^pd; q^pd) and one axpy; k - alpha + 1 joins the exponent
-    on p*d (see the module docstring).  Mod 125 the slice variant
-    {1: 123, 2: 3, 5: -25} becomes (q;q)^3 (q^2;q^2)^3 H(z, F) / (q^5;q^5)^3:
-    10 passes where (q;q)^123 alone took 41, and the inverse of (q;q)^3
-    instead of (q;q)^25.
+    own.  The positive exponents are applied in ascending order of d.  Over
+    Z/p**alpha an exponent r with k = r // p >= alpha is rewritten where
+    that makes fewer passes at level d, P(r % p) + (alpha - 1)(P(p) + 1)
+    < P(r) with P(x) = x // 3 + x % 3: the passes of the exponent r % p
+    and alpha - 1 Horner steps, each the P(p) passes of z = (q^d; q^d)^p,
+    one pass over the dilated F = (q^pd; q^pd) and one axpy; k - alpha + 1
+    joins the exponent on p*d, met later in the same loop (see the module
+    docstring).  Mod 125 the slice variant {1: 123, 2: 3, 5: -25} becomes
+    (q;q)^3 (q^2;q^2)^3 H(z, F) / (q^5;q^5)^3: 10 passes where (q;q)^123
+    alone took 41, and the inverse of (q;q)^3 instead of (q;q)^25.
     The last negative factor computes only what the progression reads.
     With g = gcd(step, d) and period = step // g, the class of rho holds the
     exponents rho + d*j; it is read iff rho = offset (mod g), and then only
@@ -412,19 +416,24 @@ def eta_quotient(
         raise ValueError(f"offset {offset} is beyond the truncation order {order}")
     u = ring.modulus
     exponents = dict(spec.exponents)
+    p, alpha = _prime_power(u, max(exponents.values()))
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
-    for d, p, e in _frobenius_rewrite(exponents, u):
-        # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
-        # for j = m-1, ..., 0, where out holds F^(m-j) X
-        acc = _axpy(0, e[-1], out, u)
-        for e_j in reversed(e[:-1]):
-            out = _euler_power(out, p * d, 1, u)
-            acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
-        out = acc
-    for d, r in exponents.items():
-        if r > 0:
-            out = _euler_power(out, d, r, u)
+    # d ascending, so p*d comes after the d whose rewrite feeds it
+    d = 0
+    while d := min((x for x, r in exponents.items() if x > d and r > 0), default=0):
+        r = exponents[d]
+        if p and (k := r // p) >= alpha and _passes(r % p) + (alpha - 1) * (_passes(p) + 1) < _passes(r):
+            e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % u for j in range(alpha)]
+            # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
+            # for j = m-1, ..., 0, where out holds F^(m-j) X
+            acc = _axpy(0, e[-1], out, u)
+            for e_j in reversed(e[:-1]):
+                out = _euler_power(out, p * d, 1, u)
+                acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
+            out, r = acc, r % p
+            exponents[p * d] = exponents.get(p * d, 0) + k - alpha + 1
+        out = _euler_power(out, d, r, u)
     out = out.tolist()
     negative = [(d, -r) for d, r in exponents.items() if r < 0]
     for d, r in negative:
@@ -465,33 +474,23 @@ def _euler_power(coeffs, d: int, r: int, modulus: int | None) -> np.ndarray:
     return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus)
 
 
-def _frobenius_rewrite(exponents: dict[int, int], modulus: int | None) -> list[tuple[int, int, list[int]]]:
-    """Over Z/p**alpha, rewrite in place each exponent r on (q^d; q^d) with
-    k = r // p >= alpha to r % p, add k - alpha + 1 to the exponent on p*d,
-    and return (d, p, e) for what is left, the polynomial
-    sum_{j<alpha} e[j] z^j F^(alpha-1-j) in z = (q^d; q^d)^p, F = (q^pd; q^pd),
-    with e reduced mod u (see the module docstring).  Return [] otherwise.
+def _passes(r: int) -> int:
+    """The number of sparse passes _euler_power makes for the exponent r."""
+    return r // 3 + r % 3
 
-    The divisors are visited in ascending order, the new ones p*d included,
-    so p*d comes after the d that feeds it, and a netted exponent is
-    rewritten in turn.  p is sought by trial division only up to the
-    largest positive exponent, since a rewrite needs p <= r, and u is then
-    checked to be a power of p: u itself is never factored.
+
+def _prime_power(modulus: int | None, top: int) -> tuple[int, int]:
+    """(p, alpha) with modulus = p**alpha for a prime p <= top, else (0, 0).
+
+    A rewrite needs p <= r, so p is sought by trial division only up to
+    top, the largest positive exponent, and modulus is then checked to be a
+    power of p: modulus itself is never factored.
     """
-    top = max(exponents.values(), default=0)
-    p = next((p for p in range(2, top + 1) if modulus % p == 0), None) if modulus else None
+    p = next((p for p in range(2, top + 1) if modulus % p == 0), 0) if modulus else 0
     alpha, rest = 0, modulus
     while p and rest % p == 0:
         alpha, rest = alpha + 1, rest // p
-    polys, d = [], 0
-    while rest == 1 and (d := min((x for x in exponents if x > d), default=0)):
-        k = exponents[d] // p
-        if k >= alpha:
-            e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % modulus
-                 for j in range(alpha)]
-            polys.append((d, p, e))
-            exponents[d], exponents[p * d] = exponents[d] % p, exponents.get(p * d, 0) + k - alpha + 1
-    return polys
+    return (p, alpha) if rest == 1 else (0, 0)
 
 
 def _axpy(a, e: int, b: np.ndarray, modulus: int) -> np.ndarray:

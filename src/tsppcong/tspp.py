@@ -210,8 +210,9 @@ def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
     Over the divisors (1, 2, p, 2p) the exponents are
     (p**alpha - 2, 3, -p**(alpha-1), 0).  For p = 2 the divisors 2 and p
     coincide and the two exponents merge onto level 4.  The spec is
-    immutable, so one is built per (alpha, p) and shared: each proof builds
-    it once for the verifier and once more to check each certificate.
+    immutable, so one is built per (alpha, p) and shared by its callers:
+    prover.build_instance, once per class a proof verifies, and
+    slice_variant_series and check_variant_congruence.
     """
     return _slice_variant_spec(require_int(alpha, "alpha", 1), require_int(p, "p"))
 
@@ -274,7 +275,8 @@ def check_variant_congruence(alpha: int, p: int) -> CheckReport:
 
     The verifier's expansion of the variant mod u rests on the same
     congruence: series.eta_quotient rewrites the exponent p**alpha - 2 on
-    (q; q) through (q; q)^p = (q^p; q^p) (mod p), see the series module.
+    (q; q) through (q; q)^p = (q^p; q^p) (mod p) where that saves passes,
+    see the series module.
     """
     ratio = dict(slice_variant_spec(alpha, p).exponents)
     for d, e in SLICE_SPEC.exponents:

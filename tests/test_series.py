@@ -376,9 +376,9 @@ PRIME_POWERS = [2, 4, 8, 3, 9, 27, 5, 25, 125, 7, 49]
 
 @given(spec=eta_specs(130), order=st.integers(0, 200), u=st.sampled_from(PRIME_POWERS), data=st.data())
 def test_eta_quotient_mod_prime_power_is_the_exact_expansion_reduced(spec, order, u, data):
-    # mod p**alpha every exponent with r // p >= alpha is rewritten through
-    # Horner steps and the dilated F; over Z nothing is, so this compares
-    # the two paths residue for residue
+    # mod p**alpha an exponent with r // p >= alpha is rewritten through
+    # Horner steps and the dilated F where that saves passes; over Z nothing
+    # is, so this compares the two paths residue for residue
     step = data.draw(st.integers(1, 12), label="step")
     offset = data.draw(st.integers(0, min(step - 1, order)), label="offset")
     got = tc.eta_quotient(spec, order, tc.residues_mod(u), step, offset).coeffs
@@ -393,6 +393,53 @@ def test_frobenius_chain_collapses_to_one_dilated_product():
         assert got == tc.pentagonal_series(625, order, ring), order
 
 
+@pytest.mark.parametrize(
+    "spec,u,passes",
+    [
+        # the rewrite would cost 8 passes at level 1 where 15 costs 5
+        (tc.EtaQuotientSpec(1, {1: 15}), 125, 5),
+        # alpha - 1 = 39 Horner steps of 3 passes each against 44 passes
+        (tc.EtaQuotientSpec(1, {1: 130}), 2**40, 44),
+        # 123 is rewritten (9 passes against 41), and the 22 it adds on
+        # level 5 takes 8 passes where its rewrite would take 10
+        (tc.EtaQuotientSpec(1, {1: 123}), 125, 17),
+        # 10 passes before the inverse, then 9 in its Newton steps
+        (tc.slice_variant_spec(3, 5), 125, 19),
+    ],
+)
+def test_eta_quotient_rewrites_only_where_it_saves_passes(monkeypatch, spec, u, passes):
+    original = tc.series._sparse_passes
+    counted = []
+
+    def count(coeffs, terms, r, modulus):
+        counted.append(r)
+        return original(coeffs, terms, r, modulus)
+
+    monkeypatch.setattr(tc.series, "_sparse_passes", count)
+    got = tc.eta_quotient(spec, 2_000, tc.residues_mod(u)).coeffs
+    assert sum(counted) == passes
+    assert got == tuple(c % u for c in exact_expansion(spec, 2_000))
+
+
+def test_rewrite_past_int64_runs_its_axpy_in_object_arrays(monkeypatch):
+    # (67**6)**2 overflows int64; the rewrite makes 5 Horner steps of 23
+    # passes at level 1 and 1 pass for the exponent 1 it adds on level 67,
+    # 121 passes where (q;q)^402 takes 134
+    spec, u = tc.EtaQuotientSpec(1, {1: 402}), 67**6
+    original = tc.series._axpy
+    dtypes = []
+
+    def axpy(a, e, b, modulus):
+        out = original(a, e, b, modulus)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(tc.series, "_axpy", axpy)
+    got = tc.eta_quotient(spec, 300, tc.residues_mod(u)).coeffs
+    assert dtypes == [np.dtype(object)] * 6
+    assert got == tuple(c % u for c in exact_expansion(spec, 300))
+
+
 def test_eta_quotient_never_factors_the_modulus(monkeypatch):
     # the prime is sought only up to the largest positive exponent, so a
     # large prime modulus or one with large prime factors costs no factoring
@@ -404,7 +451,8 @@ def test_eta_quotient_never_factors_the_modulus(monkeypatch):
 
     monkeypatch.setattr(tc.arith, "factorize", refuse)
     # 2**61 - 1 is prime, HUGE_MODULUS has the factor 5 but is no power of
-    # it, and 3**39, whose square overflows int64, is rewritten
+    # it, and 3**39 is a prime power whose rewrite of 123 would cost more
+    # passes than it saves
     for u in (2**61 - 1, HUGE_MODULUS, 3**39):
         got = tc.eta_quotient(spec, 300, tc.residues_mod(u)).coeffs
         assert got == tuple(c % u for c in exact), u
