@@ -1,7 +1,14 @@
 """Small integer helpers shared across the package, and the one rule for
-integer arguments: an int other than a bool, never coerced."""
+integer arguments: an int other than a bool, never coerced.
+
+prime_power is the one test of whether a modulus is p**alpha, and for
+which p; it stops at the least prime factor, so a modulus is never
+factored.  factorize, divisors and prime_factors serve the verifier's small
+numbers (m, 24m, the level N)."""
 
 from __future__ import annotations
+
+from math import isqrt
 
 
 def is_int(value) -> bool:
@@ -51,17 +58,22 @@ def prime_factors(n: int) -> list[int]:
     return [p for p, _ in factorize(n)]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return factorize(n) == [(n, 1)]
+def prime_power(n: int, top: int | None = None) -> tuple[int, int] | None:
+    """(p, alpha) with p**alpha == n for a prime p, else None; also None
+    when top is given and p > top.
 
-
-def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, alpha) with p**alpha == n, or None if n is not a prime power."""
+    p is the first d = 2, 3, ... that divides n, tried only up to isqrt(n),
+    or up to top when that is smaller; if none does, p is n itself.  n is
+    then checked to be a power of p, so it is never factored past its least
+    prime factor.
+    """
     if n < 2:
         return None
-    fac = factorize(n)
-    if len(fac) != 1:
+    limit = isqrt(n) if top is None else min(isqrt(n), top)
+    p = next((d for d in range(2, limit + 1) if n % d == 0), n)
+    if top is not None and p > top:
         return None
-    return fac[0]
+    alpha = 0
+    while n % p == 0:
+        n, alpha = n // p, alpha + 1
+    return (p, alpha) if n == 1 else None

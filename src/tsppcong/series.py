@@ -40,9 +40,13 @@ binomial sum over i < alpha, whose terms expand to the e_j z^j F^(k-j).
 F^(k-alpha+1) joins the exponent on p*d, and the rest costs alpha - 1
 Horner steps, each one multiply by z, one pass over the dilated F and one
 axpy.  With P(x) = x // 3 + x % 3 passes for an exponent x, the rewrite is
-taken where it makes fewer passes at level d,
-P(r % p) + (alpha - 1) * (P(p) + 1) < P(r); otherwise, over Z, or modulo
-a composite, the exponent is expanded by passes as it stands.
+taken where it makes fewer passes,
+P(r % p) + (alpha - 1) * (P(p) + 1) + P(k - alpha + 1) < P(r), the last
+term charging the exponent moved to p*d at level d's rate; otherwise, over
+Z, or modulo a composite, the exponent is expanded by passes as it stands.
+p is the least prime factor of u, sought by arith.prime_power only up to
+the largest positive exponent, since a rewrite needs p <= r; u itself is
+never factored.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import divisors, is_int, require_int
+from .arith import divisors, is_int, prime_power, require_int
 
 
 class RingMismatchError(ValueError):
@@ -391,12 +395,15 @@ def eta_quotient(
     dilated inverse touches only exponents divisible by d, so each residue
     class of the exponent mod d is multiplied by the undilated inverse on its
     own.  The positive exponents are applied in ascending order of d.  Over
-    Z/p**alpha an exponent r with k = r // p >= alpha is rewritten where
-    that makes fewer passes at level d, P(r % p) + (alpha - 1)(P(p) + 1)
-    < P(r) with P(x) = x // 3 + x % 3: the passes of the exponent r % p
-    and alpha - 1 Horner steps, each the P(p) passes of z = (q^d; q^d)^p,
-    one pass over the dilated F = (q^pd; q^pd) and one axpy; k - alpha + 1
-    joins the exponent on p*d, met later in the same loop (see the module
+    Z/p**alpha, with p found by arith.prime_power(u, top) for top the
+    largest positive exponent, an exponent r with k = r // p >= alpha is
+    rewritten where that makes fewer passes,
+    P(r % p) + (alpha - 1)(P(p) + 1) + P(k - alpha + 1) < P(r) with
+    P(x) = x // 3 + x % 3: the passes of the exponent r % p, alpha - 1
+    Horner steps, each the P(p) passes of z = (q^d; q^d)^p, one pass over
+    the dilated F = (q^pd; q^pd) and one axpy, and the passes of the
+    k - alpha + 1 that joins the exponent on p*d, counted at level d's rate
+    though that exponent is met later in the same loop (see the module
     docstring).  Mod 125 the slice variant {1: 123, 2: 3, 5: -25} becomes
     (q;q)^3 (q^2;q^2)^3 H(z, F) / (q^5;q^5)^3: 10 passes where (q;q)^123
     alone took 41, and the inverse of (q;q)^3 instead of (q;q)^25.
@@ -416,14 +423,17 @@ def eta_quotient(
         raise ValueError(f"offset {offset} is beyond the truncation order {order}")
     u = ring.modulus
     exponents = dict(spec.exponents)
-    p, alpha = _prime_power(u, max(exponents.values()))
+    # a rewrite needs p <= r, so p is sought only up to the largest exponent
+    p, alpha = (u and prime_power(u, max(exponents.values()))) or (0, 0)
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
     # d ascending, so p*d comes after the d whose rewrite feeds it
     d = 0
     while d := min((x for x, r in exponents.items() if x > d and r > 0), default=0):
         r = exponents[d]
-        if p and (k := r // p) >= alpha and _passes(r % p) + (alpha - 1) * (_passes(p) + 1) < _passes(r):
+        if p and (k := r // p) >= alpha and (
+            _passes(r % p) + (alpha - 1) * (_passes(p) + 1) + _passes(k - alpha + 1) < _passes(r)
+        ):
             e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % u for j in range(alpha)]
             # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
             # for j = m-1, ..., 0, where out holds F^(m-j) X
@@ -477,20 +487,6 @@ def _euler_power(coeffs, d: int, r: int, modulus: int | None) -> np.ndarray:
 def _passes(r: int) -> int:
     """The number of sparse passes _euler_power makes for the exponent r."""
     return r // 3 + r % 3
-
-
-def _prime_power(modulus: int | None, top: int) -> tuple[int, int]:
-    """(p, alpha) with modulus = p**alpha for a prime p <= top, else (0, 0).
-
-    A rewrite needs p <= r, so p is sought by trial division only up to
-    top, the largest positive exponent, and modulus is then checked to be a
-    power of p: modulus itself is never factored.
-    """
-    p = next((p for p in range(2, top + 1) if modulus % p == 0), 0) if modulus else 0
-    alpha, rest = 0, modulus
-    while p and rest % p == 0:
-        alpha, rest = alpha + 1, rest // p
-    return (p, alpha) if rest == 1 else (0, 0)
 
 
 def _axpy(a, e: int, b: np.ndarray, modulus: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, prime_power, require_int
+from .arith import prime_power, require_int
 from .series import (
     INTEGERS,
     CoefficientRing,
@@ -219,7 +219,7 @@ def slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
 
 @lru_cache(maxsize=64)
 def _slice_variant_spec(alpha: int, p: int) -> EtaQuotientSpec:
-    if not is_prime(p):
+    if prime_power(p) != (p, 1):
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:
         return EtaQuotientSpec(4, {1: 2**alpha - 2, 2: 3 - 2 ** (alpha - 1), 4: 0})
@@ -316,7 +316,9 @@ def reduce_claim(claim: CongruenceClaim) -> tuple[ReductionStep, ...]:
     0, where f(0) = 1, cannot be.  A remaining class must have indices of
     the shape 6(mk+t)+1; it then yields the SliceClaim
     "g[alpha,p](mk+t) = 0 (mod u)" with p**alpha = u.  Anything else cannot
-    be handled and raises NotReducibleError.
+    be handled and raises NotReducibleError.  The modulus is tested by
+    arith.prime_power, which stops at its least prime factor p: a
+    composite modulus is refused once p is divided out, never factored.
     """
     pp = prime_power(claim.modulus)
     if pp is None:

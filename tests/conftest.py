@@ -59,3 +59,17 @@ def certificate2(instance2):
 @pytest.fixture(scope="session")
 def shipped_docs():
     return tc.shipped_instances()
+
+
+@pytest.fixture
+def factorize_below_2_32(monkeypatch):
+    """arith.factorize raises from 2**32 on, where trial division up to the
+    square root would outlast any test; a hint's level N still factors."""
+    factorize = tc.arith.factorize
+
+    def below_2_32(n):
+        if n >= 2**32:
+            raise AssertionError(f"factorize({n}) was called")
+        return factorize(n)
+
+    monkeypatch.setattr(tc.arith, "factorize", below_2_32)

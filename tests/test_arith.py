@@ -2,7 +2,7 @@
 
 import pytest
 
-from tsppcong.arith import divisors, factorize, is_prime, prime_factors, prime_power
+from tsppcong.arith import divisors, factorize, prime_factors, prime_power
 
 LIMIT = 2_000
 
@@ -28,7 +28,7 @@ def test_against_brute_force():
         fac = [(p, valuation(n, p)) for p in PRIMES if n % p == 0]
         assert factorize(n) == fac, n
         assert prime_factors(n) == [p for p, _ in fac], n
-        assert is_prime(n) == brute_is_prime(n), n
+        assert (prime_power(n) == (n, 1)) == brute_is_prime(n), n
         assert prime_power(n) == PRIME_POWERS.get(n), n
 
 
@@ -37,5 +37,16 @@ def test_refusals_below_one(n):
     for helper in (divisors, factorize, prime_factors):
         with pytest.raises(ValueError):
             helper(n)
-    assert not is_prime(n)
+    assert (prime_power(n) == (n, 1)) == brute_is_prime(n)
     assert prime_power(n) is None
+
+
+def test_prime_power_with_a_bound_on_the_prime():
+    # with top, a prime power whose prime exceeds top is refused like any
+    # other n, and top below 2 refuses every n
+    for top in (None, -1, 0, 1, 2, 3, 10, 50):
+        for n in range(-3, LIMIT + 1):
+            expected = PRIME_POWERS.get(n)
+            if expected and top is not None and expected[0] > top:
+                expected = None
+            assert prime_power(n, top) == expected, (n, top)

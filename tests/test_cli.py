@@ -295,6 +295,20 @@ def test_prove_not_reducible_exits_3(tmp_path, capsys):
     assert "NOT-REDUCIBLE" in capsys.readouterr().out
 
 
+def test_prove_composite_modulus_exits_3_without_factoring_it(tmp_path, capsys, factorize_below_2_32):
+    path = write_instance(
+        tmp_path,
+        {
+            "claim": {"sequence": "f", "A": 1250, "B": 125, "u": 5 * (2**61 - 1)},
+            "hints": {"N": 10, "r_prime": {"1": 13}},
+        },
+    )
+    assert main(["prove", "--instance", path, "--out", str(tmp_path / "c.json")]) == 3
+    captured = capsys.readouterr()
+    assert "NOT-REDUCIBLE" in captured.out
+    assert "is not a prime power" in captured.err
+
+
 def test_prove_omega_class_exits_3(tmp_path, capsys):
     # f(240n+166) = 0 (mod 5) holds, but its series is the mock theta function omega
     path = write_instance(

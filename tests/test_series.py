@@ -401,10 +401,14 @@ def test_frobenius_chain_collapses_to_one_dilated_product():
         # alpha - 1 = 39 Horner steps of 3 passes each against 44 passes
         (tc.EtaQuotientSpec(1, {1: 130}), 2**40, 44),
         # 123 is rewritten (9 passes against 41), and the 22 it adds on
-        # level 5 takes 8 passes where its rewrite would take 10
+        # level 5 takes 8 passes where its rewrite, with the 2 it would add
+        # on level 25, would take 12
         (tc.EtaQuotientSpec(1, {1: 123}), 125, 17),
         # 10 passes before the inverse, then 9 in its Newton steps
         (tc.slice_variant_spec(3, 5), 125, 19),
+        # 117 passes at level 1 are fewer than 120, but the 141 they add on
+        # level 2 cost 47 more
+        (tc.EtaQuotientSpec(1, {1: 360}), 2**40, 120),
     ],
 )
 def test_eta_quotient_rewrites_only_where_it_saves_passes(monkeypatch, spec, u, passes):
@@ -441,8 +445,9 @@ def test_rewrite_past_int64_runs_its_axpy_in_object_arrays(monkeypatch):
 
 
 def test_eta_quotient_never_factors_the_modulus(monkeypatch):
-    # the prime is sought only up to the largest positive exponent, so a
-    # large prime modulus or one with large prime factors costs no factoring
+    # arith.prime_power seeks the prime only up to the largest positive
+    # exponent, so a large prime modulus or one with large prime factors
+    # costs no factoring
     spec = tc.EtaQuotientSpec(10, {1: 123, 2: 3, 5: -25})
     exact = exact_expansion(spec, 300)
 

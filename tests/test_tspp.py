@@ -296,6 +296,13 @@ def test_reduce_claim_rejects_non_prime_power_modulus():
         tc.reduce_claim(tc.CongruenceClaim("f", 1250, 125, 15))
 
 
+def test_reduce_claim_refuses_a_composite_modulus_at_its_least_prime(factorize_below_2_32):
+    # 5 * (2**61 - 1) is no power of 5, which is known once 5 is divided
+    # out; factoring it would trial-divide to about 1.5 * 10**9
+    with pytest.raises(tc.NotReducibleError, match="not a prime power"):
+        tc.reduce_claim(tc.CongruenceClaim("f", 1250, 125, 5 * (2**61 - 1)))
+
+
 def test_reduce_claim_rejects_4_mod_6_branch():
     # f(6n+4) is outside the slice identity and f(4) = 1, so nothing to prove
     with pytest.raises(tc.NotReducibleError, match="4 \\(mod 6\\)"):
