@@ -17,15 +17,17 @@ weighted shifted additions: r // 3 passes over the Jacobi support of
 (q^d; q^d)**3 and r % 3 over the pentagonal support of (q^d; q^d).  One
 pass function serves both rings; it multiplies once per weight magnitude
 and over Z/u runs in the narrowest of int8, int16, int32 and int64 that
-holds u times the summed weights, else in object arrays.  Each negative
-exponent r inverts (q; q)**r at order // d by Newton iteration whose product
-a*g is r's sparse passes over g, so (q; q)**r is never expanded; the
-inverse is multiplied into the d residue classes of the exponent
-separately.  eta_quotient can return one progression c(step*n + offset) of
-the expansion; the last negative factor then computes only the coefficients
-the progression reads, as a sum of step / gcd(step, d) products of
-interleaved pieces.  Everything is exact: fixed-width integer or object
-numpy arrays and Python ints, no floating point.
+holds u times the summed weights, else in object arrays.  Over Z, modulo a
+composite, or modulo a prime power u above T, the sum of the positive
+exponents, each negative exponent r inverts (q; q)**r at order // d by
+Newton iteration whose product a*g is r's sparse passes over g, so
+(q; q)**r is never expanded; the inverse is multiplied into the d residue
+classes of the exponent separately.  eta_quotient can return one
+progression c(step*n + offset) of the expansion; the last negative factor
+then computes only the coefficients the progression reads, as a sum of
+step / gcd(step, d) products of interleaved pieces.  Everything is exact:
+fixed-width integer or object numpy arrays and Python ints, no floating
+point.
 
 Over Z/u with u = p**alpha, an exponent r on (q^d; q^d) with
 k = r // p >= alpha may be rewritten.  With z = (q^d; q^d)^p and
@@ -44,9 +46,25 @@ taken where it makes fewer passes,
 P(r % p) + (alpha - 1) * (P(p) + 1) + P(k - alpha + 1) < P(r), the last
 term charging the exponent moved to p*d at level d's rate; otherwise, over
 Z, or modulo a composite, the exponent is expanded by passes as it stands.
-p is the least prime factor of u, sought by arith.prime_power only up to
-the largest positive exponent, since a rewrite needs p <= r; u itself is
-never factored.
+
+Over Z/u with u = p**alpha <= T, a negative exponent is converted instead:
+
+    (q^d; q^d)^u = (q^pd; q^pd)^(u/p)  (mod u).
+
+Proof: (q^d; q^d)^p = (q^pd; q^pd) (1 + p*X) for a series X, as above, and
+(1 + p*X)^(p^(alpha-1)) = 1 (mod p**alpha), since each p-th power of
+1 + p^j*Y is 1 + p^(j+1)*Y'.  So r < 0 on d becomes r + c*u >= 0 with
+c = ceil(-r / u), and c*u/p is taken off the exponent on p*d, which the
+same ascending loop meets later, converts in turn, and drops once p*d is
+above the order.  Each conversion adds less than u, so the gate u <= T
+takes it only where the positive exponents already cost about T/3 full
+passes, and no Newton inverse or dense product is left.  Before each level
+the loop takes g = gcd(step, every level still carrying an exponent): the
+rest of the product is then a series in q^g, so of the expansion so far
+only the class offset mod g is read, and step, offset, the order and the
+levels are divided by g.  p is the least prime factor of u, sought by
+arith.prime_power only up to T, since a rewrite needs p <= r and a
+conversion u <= T; u itself is never factored.
 """
 
 from __future__ import annotations
@@ -389,14 +407,10 @@ def eta_quotient(
     The defaults step=1, offset=0 give the whole expansion.  A positive
     exponent r on (q^d; q^d) costs r // 3 weighted passes over the Jacobi
     support of (q^d; q^d)**3 plus r % 3 passes over the pentagonal support,
-    each costing order times about sqrt(order/d).  A negative exponent -r
-    costs one inverse of (q; q)**r at order // d by Newton iteration, whose
-    product a*g at each doubling is r // 3 + r % 3 such passes over g.  The
-    dilated inverse touches only exponents divisible by d, so each residue
-    class of the exponent mod d is multiplied by the undilated inverse on its
-    own.  The positive exponents are applied in ascending order of d.  Over
-    Z/p**alpha, with p found by arith.prime_power(u, top) for top the
-    largest positive exponent, an exponent r with k = r // p >= alpha is
+    each costing order times about sqrt(order/d).  The exponents are
+    applied in ascending order of d, and a level above the order is dropped.
+    Over Z/p**alpha, with p found by arith.prime_power(u, T) for T the sum of
+    the positive exponents, an exponent r with k = r // p >= alpha is
     rewritten where that makes fewer passes,
     P(r % p) + (alpha - 1)(P(p) + 1) + P(k - alpha + 1) < P(r) with
     P(x) = x // 3 + x % 3: the passes of the exponent r % p, alpha - 1
@@ -406,8 +420,24 @@ def eta_quotient(
     though that exponent is met later in the same loop (see the module
     docstring).  Mod 125 the slice variant {1: 123, 2: 3, 5: -25} becomes
     (q;q)^3 (q^2;q^2)^3 H(z, F) / (q^5;q^5)^3: 10 passes where (q;q)^123
-    alone took 41, and the inverse of (q;q)^3 instead of (q;q)^25.
-    The last negative factor computes only what the progression reads.
+    alone took 41.
+
+    Where u <= T, a negative exponent r on d becomes r + c*u with
+    c = ceil(-r / u), and c*u/p is taken off the exponent on p*d; the new r
+    is then applied like a positive one.  Mod 125 each -3 left on a power of
+    5 becomes 122, which the rewrite takes in 10 passes and which leaves -3
+    on the next power, so no inverse remains.  When g = gcd(step, the levels
+    still to apply) > 1, only the class offset mod g of the expansion so far
+    is kept, and step, offset, the order and those levels are divided by g:
+    mod 125 at step 125 the levels 5, 25 and 125 are each applied at a fifth
+    of the length before.
+
+    Otherwise a negative exponent -r costs one inverse of (q; q)**r at
+    order // d by Newton iteration, whose product a*g at each doubling is
+    r // 3 + r % 3 passes over g.  The dilated inverse touches only
+    exponents divisible by d, so each residue class of the exponent mod d is
+    multiplied by the undilated inverse on its own.  The last negative
+    factor computes only what the progression reads.
     With g = gcd(step, d) and period = step // g, the class of rho holds the
     exponents rho + d*j; it is read iff rho = offset (mod g), and then only
     at j = s (mod period), where s = ((offset - rho) / g) * (d / g)**-1 mod
@@ -423,14 +453,29 @@ def eta_quotient(
         raise ValueError(f"offset {offset} is beyond the truncation order {order}")
     u = ring.modulus
     exponents = dict(spec.exponents)
-    # a rewrite needs p <= r, so p is sought only up to the largest exponent
-    p, alpha = (u and prime_power(u, max(exponents.values()))) or (0, 0)
+    top = sum(r for r in exponents.values() if r > 0)
+    # a rewrite needs p <= r and a conversion u <= top, so p is sought only
+    # up to top
+    p, alpha = (u and prime_power(u, top)) or (0, 0)
+    convert = p and u <= top
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
-    # d ascending, so p*d comes after the d whose rewrite feeds it
-    d = 0
-    while d := min((x for x, r in exponents.items() if x > d and r > 0), default=0):
-        r = exponents[d]
+    # d ascending, so p*d comes after the d whose rewrite or conversion
+    # feeds it; a level above the order has the factor 1
+    while todo := [x for x, r in exponents.items() if x <= order and (r > 0 or convert and r)]:
+        if convert and (g := gcd(step, *todo)) > 1:
+            # the rest is a series in q^g, and the progression reads one class
+            o = offset % g
+            out, order, step, offset = out[o::g], (order - o) // g, step // g, offset // g
+            exponents = {x // g: exponents[x] for x in todo}
+            continue
+        d = min(todo)
+        r = exponents.pop(d)
+        moved = 0
+        if r < 0:
+            # (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), applied c times
+            c = -(r // u)
+            r, moved = r + c * u, -c * (u // p)
         if p and (k := r // p) >= alpha and (
             _passes(r % p) + (alpha - 1) * (_passes(p) + 1) + _passes(k - alpha + 1) < _passes(r)
         ):
@@ -441,11 +486,12 @@ def eta_quotient(
             for e_j in reversed(e[:-1]):
                 out = _euler_power(out, p * d, 1, u)
                 acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
-            out, r = acc, r % p
-            exponents[p * d] = exponents.get(p * d, 0) + k - alpha + 1
+            out, r, moved = acc, r % p, moved + k - alpha + 1
+        if moved:
+            exponents[p * d] = exponents.get(p * d, 0) + moved
         out = _euler_power(out, d, r, u)
     out = out.tolist()
-    negative = [(d, -r) for d, r in exponents.items() if r < 0]
+    negative = [(d, -r) for d, r in exponents.items() if r < 0 and d <= order]
     for d, r in negative:
         inv = _inverse(
             lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u).tolist(), 1, order // d + 1, u

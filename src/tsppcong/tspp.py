@@ -276,7 +276,10 @@ def check_variant_congruence(alpha: int, p: int) -> CheckReport:
     The verifier's expansion of the variant mod u rests on the same
     congruence: series.eta_quotient rewrites the exponent p**alpha - 2 on
     (q; q) through (q; q)^p = (q^p; q^p) (mod p) where that saves passes,
-    see the series module.
+    and, since u is at most the sum p**alpha + 1 of the positive exponents,
+    converts each negative exponent on (q^d; q^d) through this identity
+    dilated by d, (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), so that no
+    inverse is expanded; see the series module.
     """
     ratio = dict(slice_variant_spec(alpha, p).exponents)
     for d, e in SLICE_SPEC.exponents:

@@ -356,6 +356,9 @@ def test_sparse_residual_newton_matches_dense_inverse(u):
         (tc.slice_variant_spec(1, 11), 120, 275, 104, (11,)),
         (tc.slice_variant_spec(1, 11), 250, 275, 229, (11,)),
         (tc.EtaQuotientSpec(6, {1: 1, 6: -1}), 5, 9, 4, (7,)),
+        # mod 25 and 5 the negative exponents on two levels are converted
+        # (T = 27 >= u), and both levels are cut to one class by g = 5
+        (tc.EtaQuotientSpec(50, {1: 27, 5: -2, 25: -1}), 900, 50, 13, (25, 5)),
     ],
 )
 def test_eta_quotient_progression_with_a_period(spec, order, step, offset, moduli):
@@ -404,8 +407,10 @@ def test_frobenius_chain_collapses_to_one_dilated_product():
         # level 5 takes 8 passes where its rewrite, with the 2 it would add
         # on level 25, would take 12
         (tc.EtaQuotientSpec(1, {1: 123}), 125, 17),
-        # 10 passes before the inverse, then 9 in its Newton steps
-        (tc.slice_variant_spec(3, 5), 125, 19),
+        # 10 passes on levels 1 and 2, then 10 for each -3 left on 5, 25,
+        # 125 and 625, converted to 122 and rewritten: more passes than the
+        # 9 Newton steps of the inverse of (q;q)^3 made, but no dense product
+        (tc.slice_variant_spec(3, 5), 125, 50),
         # 117 passes at level 1 are fewer than 120, but the 141 they add on
         # level 2 cost 47 more
         (tc.EtaQuotientSpec(1, {1: 360}), 2**40, 120),
@@ -423,6 +428,43 @@ def test_eta_quotient_rewrites_only_where_it_saves_passes(monkeypatch, spec, u, 
     got = tc.eta_quotient(spec, 2_000, tc.residues_mod(u)).coeffs
     assert sum(counted) == passes
     assert got == tuple(c % u for c in exact_expansion(spec, 2_000))
+
+
+@pytest.mark.parametrize(
+    "spec,u,order,step,offset,inverses",
+    [
+        # u <= T, the positive exponents' sum: every negative exponent is
+        # converted, and no Newton inverse or dense product is left
+        (tc.slice_variant_spec(1, 11), 11, 6_000, 275, 229, []),
+        (tc.slice_variant_spec(3, 5), 125, 3_000, 125, 104, []),
+        # u > T (T = 12 and T = 0): one Newton inverse at order // d
+        (tc.slice_variant_spec(1, 11), 121, 6_000, 275, 229, [546]),
+        (tc.EtaQuotientSpec(5, {5: -25}), 125, 2_000, 1, 0, [401]),
+        # either side of the gate's edge: T = u converts, T = u - 1 inverts
+        (tc.EtaQuotientSpec(5, {1: 125, 5: -25}), 125, 1_000, 5, 3, []),
+        (tc.EtaQuotientSpec(5, {1: 124, 5: -25}), 125, 1_000, 5, 3, [201]),
+    ],
+)
+def test_eta_quotient_converts_negative_exponents_where_u_is_at_most_t(
+    monkeypatch, spec, u, order, step, offset, inverses
+):
+    inverse, mul = tc.series._inverse, tc.series._mul
+    sizes, products = [], []
+
+    def counted_inverse(times_a, inv0, n, modulus):
+        sizes.append(n)
+        return inverse(times_a, inv0, n, modulus)
+
+    def counted_mul(pairs, n, modulus):
+        products.append(n)
+        return mul(pairs, n, modulus)
+
+    monkeypatch.setattr(tc.series, "_inverse", counted_inverse)
+    monkeypatch.setattr(tc.series, "_mul", counted_mul)
+    got = tc.eta_quotient(spec, order, tc.residues_mod(u), step, offset).coeffs
+    assert sizes == inverses
+    assert bool(products) == bool(inverses)
+    assert got == tuple(c % u for c in exact_expansion(spec, order)[offset::step])
 
 
 def test_rewrite_past_int64_runs_its_axpy_in_object_arrays(monkeypatch):

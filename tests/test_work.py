@@ -100,18 +100,24 @@ def count(monkeypatch):
 
 
 # each shipped and published proof, proved alone: two eta calls, the n = 0
-# probe and the full scan, which runs because the probe reads a zero.  Mod
-# 125 the variant expands as (q;q)^3 (q^2;q^2)^3 H / (q^5;q^5)^3 (series'
-# Frobenius rewrite): one Jacobi pass each for the cubes, two Horner steps
-# of 3 passes for z = (q;q)^5 and 1 for F = (q^5;q^5), and one pass per
-# Newton step of the inverse, 7 at order 604 and 14 at 53 104: 41 passes
+# probe and the full scan, which runs because the probe reads a zero.  Every
+# variant has u <= T, the sum of its positive exponents, so series converts
+# its negative exponent through (q^d;q^d)^u = (q^pd;q^pd)^(u/p) (mod u) and
+# makes no Newton inverse and no dense product.  Mod 125 the variant expands
+# as (q;q)^3 (q^2;q^2)^3 H / (q^5;q^5)^3 (series' Frobenius rewrite): one
+# Jacobi pass each for the cubes and two Horner steps of 3 passes for
+# z = (q;q)^5 and 1 for F = (q^5;q^5), 10 passes.  The -3 left on 5 becomes
+# 122, rewritten in 10 passes, which leaves -3 on 25, and so on up the
+# powers of 5 below the order: 30 more passes at order 604 and 60 at
+# 53 104, the first three levels each on one class mod 5 of the last.  Mod
+# 11 the -1 on 11 becomes 10, 4 passes, on each power of 11 below the order
 PROOF_WORK = {
-    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 41, 109_305_143, 23, 11_170, (121, 10_621), 0, 170),
-    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 41, 109_305_143, 23, 11_170, (121, 10_621), 0, 170),
-    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 30, 311_508_758, 24, 19_958, (96, 19_096), 0, 306),
-    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 30, 311_508_758, 24, 19_958, (96, 19_096), 0, 306),
-    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 87, 4, 8, (1, 4), 0, 4),
-    "f(250n+125) = 0 (mod 25)": ((104, 2229), 40, 562_854, 16, 484, (21, 446), 0, 18),
+    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 110, 118_427_589, 0, 0, (), 0, 170),
+    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 110, 118_427_589, 0, 0, (), 0, 170),
+    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 36, 318_607_427, 0, 0, (), 0, 306),
+    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 36, 318_607_427, 0, 0, (), 0, 306),
+    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 89, 0, 0, (), 0, 4),
+    "f(250n+125) = 0 (mod 25)": ((104, 2229), 42, 574_154, 0, 0, (), 0, 18),
 }
 
 
@@ -126,10 +132,11 @@ def test_each_proof_does_its_pinned_work(count):
 
 # the slice identity's exact expansion to 833, the three proofs' probe and
 # scan pairs (each mod-125 and mod-11 pair serves both claims through the
-# memo), and tspp_series to 10 000, 5 000 and ORACLE_MAX
+# memo), and tspp_series to 10 000, 5 000 and ORACLE_MAX; only the exact
+# expansion over Z, which converts nothing, makes a Newton inverse
 REGRESS_WORK = (
-    (833, 604, 53104, 1054, 210_054, 4, 19), 302, 420_936_544, 62, 32_803,
-    (834, 121, 10_621, 96, 19_096, 1, 4), 21_668, 956,
+    (833, 604, 53104, 1054, 210_054, 4, 19), 377, 437_157_661, 11, 1667,
+    (834,), 21_668, 956,
 )
 
 
@@ -158,10 +165,11 @@ def sweep_claims(seed, count):
 
 
 # most of these claims fail the admissibility checklist or a cusp bound,
-# which expand nothing, and claims of one orbit share an expansion
+# which expand nothing, and claims of one orbit share an expansion; every
+# variant has u <= T, so none makes a Newton inverse
 SWEEP_WORK = (
-    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 139, 153_739, 156, 1402,
-    (1, 1, 1, 1, 1, 1, 1, 6, 7, 1, 1, 1, 1, 1, 10, 1, 1, 1, 39, 1, 51), 0, 6899,
+    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 143, 179_326, 0, 0,
+    (), 0, 6899,
 )
 
 
