@@ -5,15 +5,9 @@ from .series import (
     INTEGERS,
     CoefficientRing,
     EtaQuotientSpec,
-    NonUnitConstantError,
-    RingMismatchError,
     TruncatedSeries,
     eta_quotient,
-    invert,
-    mul,
-    pentagonal_series,
     pentagonal_terms,
-    power,
     residues_mod,
 )
 from .tspp import (

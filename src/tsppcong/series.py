@@ -1,16 +1,15 @@
 """Truncated power series over the integers or a residue ring Z/u.
 
-A series here is an immutable coefficient tuple of fixed length with eager
-truncation: every operation returns a series whose order is the smallest
-order among its operands.
+A series here is an immutable coefficient tuple of fixed length, the
+coefficients of q**0 through q**order; eta_quotient is what builds one.
 
-All dense arithmetic goes through one multiply, _mul, by Kronecker
-substitution: each operand becomes one Python int of fixed-width limbs, so
-a product costs one big-integer multiplication, and a sum of products costs
-one per term plus big-integer additions.  Over Z the result is taken modulo
-a bound larger than twice any coefficient and lifted to the centred range.
-Inversion is one Newton loop whose product a*g the caller supplies, and
-powers are binary powering.
+The dense products that eta quotients still make, where a negative exponent
+is inverted, go through one multiply, _mul, by Kronecker substitution: each
+operand becomes one Python int of fixed-width limbs, so a product costs one
+big-integer multiplication, and a sum of products costs one per term plus
+big-integer additions.  Over Z the result is taken modulo a bound larger
+than twice any coefficient and lifted to the centred range.  The inverse of
+(q; q)**r is one Newton loop whose product a*g is r's sparse passes over g.
 
 Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
 weighted shifted additions: r // 3 passes over the Jacobi support of
@@ -78,27 +77,6 @@ import numpy as np
 from .arith import divisors, is_int, prime_power, require_int
 
 
-class RingMismatchError(ValueError):
-    """Two series from different coefficient rings met in one operation."""
-
-
-class NonUnitConstantError(ValueError):
-    """Inversion needs a unit constant term and did not get one."""
-
-    def __init__(self, constant: int, modulus: int | None):
-        self.constant = constant
-        self.modulus = modulus
-        self.common = abs(constant) if modulus is None else gcd(constant, modulus)
-        if modulus is None:
-            msg = f"constant term {constant} is not invertible over the integers"
-        else:
-            msg = (
-                f"constant term {constant} is not a unit modulo {modulus}: "
-                f"gcd({constant}, {modulus}) = {self.common}"
-            )
-        super().__init__(msg)
-
-
 @dataclass(frozen=True)
 class CoefficientRing:
     """Exact integers when modulus is None, else Z/modulus with canonical
@@ -109,16 +87,6 @@ class CoefficientRing:
     def __post_init__(self):
         if self.modulus is not None:
             require_int(self.modulus, "modulus", 2)
-
-    def unit_inverse(self, value: int) -> int:
-        """Multiplicative inverse of a unit, or NonUnitConstantError."""
-        if self.modulus is None:
-            if value in (1, -1):
-                return value
-            raise NonUnitConstantError(value, None)
-        if gcd(value, self.modulus) != 1:
-            raise NonUnitConstantError(value, self.modulus)
-        return pow(value, -1, self.modulus)
 
     def __repr__(self):
         return "ZZ" if self.modulus is None else f"ZZ/{self.modulus}"
@@ -161,13 +129,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"exponent {n} outside the known range 0..{self.order}")
         return self.coeffs[n]
-
-    def reduced(self, u: int) -> "TruncatedSeries":
-        """The coefficientwise image in Z/u; over Z/M, u must divide M."""
-        m = self.ring.modulus
-        if m is not None and m % u != 0:
-            raise ValueError(f"coefficients over {self.ring!r} do not determine residues mod {u}")
-        return TruncatedSeries(residues_mod(u), self.coeffs)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -237,21 +198,6 @@ def pentagonal_terms(delta: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def pentagonal_series(delta: int, order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
-    """The dilated Euler product prod_{n>=1}(1 - q^(delta*n)), truncated."""
-    terms = pentagonal_terms(delta, order)  # refuses a bad order before it sizes the list
-    coeffs = [0] * (order + 1)
-    for e, sign in terms:
-        coeffs[e] = sign
-    return TruncatedSeries(ring, tuple(coeffs))
-
-
-def _common_ring(a: TruncatedSeries, b: TruncatedSeries) -> CoefficientRing:
-    if a.ring != b.ring:
-        raise RingMismatchError(f"cannot combine {a.ring!r} with {b.ring!r}")
-    return a.ring
-
-
 def _mul(pairs: list[tuple[list[int], list[int]]], n: int, modulus: int | None) -> list[int]:
     """Coefficients 0..n of the sum of a*b over the pairs (a, b), reduced
     mod modulus, or exact when it is None.
@@ -302,17 +248,17 @@ def _unpack(raw: bytes, m: int, width: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
 
 
-def _inverse(times_a, inv0: int, n: int, modulus: int | None) -> list[int]:
-    """Coefficients 0..n-1 of the inverse of a series a, given the inverse
-    inv0 of a[0] and times_a(g, k), the coefficients 0..k-1 of a*g for a
-    list g of fewer than k coefficients.
+def _inverse(times_a, n: int, modulus: int | None) -> list[int]:
+    """Coefficients 0..n-1 of the inverse of a series a with a[0] = 1, given
+    times_a(g, k), the coefficients 0..k-1 of a*g for a list g of fewer than
+    k coefficients.
 
-    Newton iteration g <- g(2 - a*g): if a*g = 1 + q^k*e then the next k
-    coefficients of the inverse are those of -g*e, so each step doubles
-    the known prefix at the price of the product a*g, which times_a forms
-    as a dense multiply or by sparse passes, and one dense product g*e.
+    Newton iteration g <- g(2 - a*g) from g = 1: if a*g = 1 + q^k*e then the
+    next k coefficients of the inverse are those of -g*e, so each step
+    doubles the known prefix at the price of the product a*g, which times_a
+    forms by sparse passes, and one dense product g*e.
     """
-    g = [inv0]
+    g = [1]
     while len(g) < n:
         k = len(g)
         k2 = min(2 * k, n)
@@ -341,52 +287,6 @@ def _mul_progression(
         for sigma in range(min(period, len(a)))
     ]
     return _mul(pieces, reads - 1, modulus)
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at min(a.order, b.order).
-
-    One Kronecker-substitution multiply: each operand is packed into one
-    Python int of about (order + 1) times the limb width, so the cost is one
-    CPython big-integer product of those two ints, dense or sparse alike.
-    CPython multiplies ints that large by Karatsuba, which is far from
-    linear in the order.
-    """
-    ring = _common_ring(a, b)
-    n = min(a.order, b.order)
-    return TruncatedSeries(ring, tuple(_mul([(list(a.coeffs), list(b.coeffs))], n, ring.modulus)))
-
-
-def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse by Newton iteration.
-
-    Needs a unit constant term; the error reports the offending gcd.  The
-    cost is a constant number of products at the full order.
-    """
-    ring, coeffs, u = a.ring, list(a.coeffs), a.ring.modulus
-    inv0 = ring.unit_inverse(coeffs[0])
-    g = _inverse(lambda head, k: _mul([(coeffs[:k], head)], k - 1, u), inv0, len(coeffs), u)
-    return TruncatedSeries(ring, tuple(g))
-
-
-def power(a: TruncatedSeries, exponent: int) -> TruncatedSeries:
-    """a**exponent truncated at a.order; exponent 0 gives the constant series 1.
-
-    Binary powering, about 2*log2|exponent| products; a negative exponent
-    inverts first (unit constant term required).  The exponent must be an int
-    other than a bool.
-    """
-    require_int(exponent, "exponent")
-    result = TruncatedSeries(a.ring, (1,) + (0,) * a.order)
-    base = invert(a) if exponent < 0 else a
-    e = abs(exponent)
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +394,7 @@ def eta_quotient(
     negative = [(d, -r) for d, r in exponents.items() if r < 0 and d <= order]
     for d, r in negative:
         inv = _inverse(
-            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u).tolist(), 1, order // d + 1, u
+            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u).tolist(), order // d + 1, u
         )
         # only the last factor's outputs are final, so only it may skip some:
         # out[rho + d*j] is read iff rho = offset (mod g) and j = s (mod period)

@@ -1,12 +1,13 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here shares code with the package: products are expanded by naive
-truncated polynomial multiplication, partition counts come from the
-standard bounded-part recursion, the mock theta function omega comes from
-cumulative sums over plain lists, and the verifier's unit squares and cusp
-minima come from trying every residue and every lambda; the auxiliary cusp
-orders are summed term by term as fractions.  These are the reference
-values the fast paths are checked against.
+truncated polynomial multiplication, partition counts and inverse powers of
+the Euler product come from running sums, one per part size, the mock theta
+function omega comes from cumulative sums over plain lists, and the
+verifier's unit squares and cusp minima come from trying every residue and
+every lambda; the auxiliary cusp orders are summed term by term as
+fractions.  These are the reference values the fast paths are checked
+against.
 """
 
 from __future__ import annotations
@@ -40,21 +41,29 @@ def euler_product(delta, order):
 
 
 @lru_cache(maxsize=None)
-def partitions_into_parts_at_most(n, k):
-    if n == 0:
-        return 1
-    if n < 0 or k == 0:
-        return 0
-    return partitions_into_parts_at_most(n - k, k) + partitions_into_parts_at_most(n, k - 1)
+def inverse_euler_power(r, order):
+    """prod_{n >= 1} (1 - q^n)^-r truncated, for r >= 0, as a tuple over Z.
+
+    Dividing by 1 - q^k is one running sum with stride k, so each of the r
+    factors 1/(q; q) is one running sum per part size k = 1..order, applied
+    to the power r - 1."""
+    if r == 0:
+        return (1,) + (0,) * order
+    out = list(inverse_euler_power(r - 1, order))
+    for k in range(1, order + 1):
+        for i in range(k, order + 1):
+            out[i] += out[i - k]
+    return tuple(out)
 
 
 def partition_count(n):
-    return partitions_into_parts_at_most(n, n)
+    return inverse_euler_power(1, n)[n]
 
 
 def two_colored_count(n):
     """Pairs of partitions with total weight n."""
-    return sum(partition_count(k) * partition_count(n - k) for k in range(n + 1))
+    counts = inverse_euler_power(1, n)
+    return sum(counts[k] * counts[n - k] for k in range(n + 1))
 
 
 def tspp_brute(order):

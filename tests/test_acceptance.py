@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from math import floor
 
+import oracles
 import tsppcong as tc
 from tsppcong.documents import canonical_json, certificate_to_doc
 from tsppcong.verification import coset_reps, cusp_order_bound, aux_cusp_order
@@ -151,25 +152,27 @@ def test_criterion_10_property_suites(instance1, instance2, certificate1, certif
     rng = random.Random(20_240_817)
     ok = True
 
-    # ring homomorphism, inverse and power laws on random series
+    # ring homomorphism, inverse and power laws on random eta quotients,
+    # with every product expanded by the brute-force oracle
+    def eta(level, exponents, order, ring=tc.INTEGERS):
+        return list(tc.eta_quotient(tc.EtaQuotientSpec(level, exponents), order, ring).coeffs)
+
     for u in (4, 5, 11, 25, 121, 125):
         ring = tc.residues_mod(u)
         for _ in range(5):
-            raw_a = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 51))]
-            raw_b = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 51))]
-            a, b = tc.TruncatedSeries(tc.INTEGERS, tuple(raw_a)), tc.TruncatedSeries(
-                tc.INTEGERS, tuple(raw_b)
-            )
-            ok = ok and tc.mul(a, b).reduced(u) == tc.mul(a.reduced(u), b.reduced(u))
-            unit = tc.TruncatedSeries(tc.INTEGERS, (1,) + tuple(raw_a[1:]))
-            ok = ok and tc.mul(unit, tc.invert(unit)).coeffs == (1,) + (0,) * unit.order
-            ok = ok and tc.power(unit, -2).reduced(u) == tc.power(unit.reduced(u), -2)
-            e1, e2 = rng.randrange(-2, 3), rng.randrange(-2, 3)
-            ok = ok and tc.power(unit, e1 + e2) == tc.mul(tc.power(unit, e1), tc.power(unit, e2))
+            order, level = rng.randrange(0, 50), rng.choice((1, 2, 6, 10))
+            divs = [d for d in range(1, level + 1) if level % d == 0]
+            e1 = {d: rng.randrange(-3, 4) for d in divs}
+            e2 = {d: rng.randrange(-3, 4) for d in divs}
+            a = eta(level, e1, order)
+            ok = ok and eta(level, e1, order, ring) == [c % u for c in a]
+            inverse = eta(level, {d: -e for d, e in e1.items()}, order)
+            ok = ok and oracles.poly_mul(a, inverse, order) == [1] + [0] * order
+            both = eta(level, {d: e1[d] + e2[d] for d in divs}, order)
+            ok = ok and oracles.poly_mul(a, eta(level, e2, order), order) == both
 
     # pentagonal support
-    series = tc.pentagonal_series(3, 500)
-    support = {e for e, c in enumerate(series.coeffs) if c}
+    support = {e for e, _ in tc.pentagonal_terms(3, 500)}
     expected = {0}
     k = 1
     while 3 * k * (3 * k - 1) // 2 <= 500:

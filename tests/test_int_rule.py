@@ -31,9 +31,7 @@ VALID = {
     "eta_quotient": dict(spec=SPEC, order=1, step=1, offset=0),
     "index_gamma0": dict(N=1),
     "kappa": dict(m=1),
-    "pentagonal_series": dict(delta=1, order=1),
     "pentagonal_terms": dict(delta=1, order=1),
-    "power": dict(a=tc.pentagonal_series(1, 3), exponent=1),
     "residues_mod": dict(modulus=2),
     "slice_series": dict(order=1),
     "slice_variant_series": dict(alpha=1, p=2, order=1),
@@ -46,7 +44,6 @@ EXEMPT = {
     "CheckReport": "a result record the check functions build; no exported function takes one",
     "ReductionStep": "a result record reduce_claim builds; no exported function takes one",
     "SliceClaim": "a result record reduce_claim builds; no exported function takes one",
-    "NonUnitConstantError": "raised by inversion with the constant it met; no exported function takes one",
 }
 
 BAD = (True, 2.0, "3", np.int64(3), [3])

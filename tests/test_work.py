@@ -85,7 +85,7 @@ def count(monkeypatch):
     for module in (tspp, prover):
         wrap(module, "tspp_series", slots)
     wrap(series, "_mul", lambda result, pairs, n, modulus: work.mul.append(n + 1))
-    wrap(series, "_inverse", lambda result, times_a, inv0, n, modulus: work.inverse.append(n))
+    wrap(series, "_inverse", lambda result, times_a, n, modulus: work.inverse.append(n))
     wrap(prover, "verify_instance", scanned)
 
     def run(fn):
