@@ -3,7 +3,6 @@ partition counts, built on exact truncated q-series arithmetic."""
 
 from .series import (
     INTEGERS,
-    CoefficientRing,
     EtaQuotientSpec,
     TruncatedSeries,
     eta_quotient,

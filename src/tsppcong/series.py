@@ -14,9 +14,13 @@ than twice any coefficient and lifted to the centred range.  The inverse of
 Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
 weighted shifted additions: r // 3 passes over the Jacobi support of
 (q^d; q^d)**3 and r % 3 over the pentagonal support of (q^d; q^d).  One
-pass function serves both rings; it multiplies once per weight magnitude
-and over Z/u runs in the narrowest of int8, int16, int32 and int64 that
-holds u times the summed weights, else in object arrays.  Over Z, modulo a
+pass function serves both rings; it multiplies once per weight magnitude,
+writes its first pass where the input is a constant c*1, and can compute
+only one residue class of its last pass.  Over Z/u its input is residues in
+[0, u), so with P and N the sums of the positive and of the absolute
+negative weights its values lie in [-(u-1)N, (u-1)P], and it runs in the
+narrowest of int8, int16, int32 and int64 that holds u * max(P, N), else
+in object arrays.  Over Z, modulo a
 composite, or modulo a prime power u above T, the sum of the positive
 exponents, each negative exponent r inverts (q; q)**r at order // d by
 Newton iteration whose product a*g is r's sparse passes over g, so
@@ -57,11 +61,13 @@ c = ceil(-r / u), and c*u/p is taken off the exponent on p*d, which the
 same ascending loop meets later, converts in turn, and drops once p*d is
 above the order.  Each conversion adds less than u, so the gate u <= T
 takes it only where the positive exponents already cost about T/3 full
-passes, and no Newton inverse or dense product is left.  Before each level
-the loop takes g = gcd(step, every level still carrying an exponent): the
-rest of the product is then a series in q^g, so of the expansion so far
-only the class offset mod g is read, and step, offset, the order and the
-levels are divided by g.  p is the least prime factor of u, sought by
+passes, and no Newton inverse or dense product is left.  Before the first
+level and after each, the loop takes g = gcd(step, every level still
+carrying an exponent): the rest of the product is then a series in q^g, so
+of the expansion so far only the class offset mod g is read.  A level's
+last pass computes only that class (one that ends in a Horner axpy is cut
+before the next level), and step, offset, the order and the levels are
+divided by g.  p is the least prime factor of u, sought by
 arith.prime_power only up to T, since a rewrite needs p <= r and a
 conversion u <= T; u itself is never factored.
 """
@@ -326,11 +332,15 @@ def eta_quotient(
     c = ceil(-r / u), and c*u/p is taken off the exponent on p*d; the new r
     is then applied like a positive one.  Mod 125 each -3 left on a power of
     5 becomes 122, which the rewrite takes in 10 passes and which leaves -3
-    on the next power, so no inverse remains.  When g = gcd(step, the levels
-    still to apply) > 1, only the class offset mod g of the expansion so far
-    is kept, and step, offset, the order and those levels are divided by g:
-    mod 125 at step 125 the levels 5, 25 and 125 are each applied at a fifth
-    of the length before.
+    on the next power, so no inverse remains.  Once level d is taken off,
+    g = gcd(step, the levels still to apply), which is step when none is
+    left; when g > 1 the rest reads only the class offset mod g, so the last
+    pass of d computes only that class (see _sparse_passes), and step,
+    offset, the order and those levels are divided by g.  The same cut is
+    taken before a level when g > 1 already holds, for the initial state
+    and after a level that ends in a Horner axpy.  Mod 125 at step 125 the
+    levels 5, 25 and 125 are each applied at a fifth of the length before,
+    and the last pass of each expansion computes only the progression.
 
     Otherwise a negative exponent -r costs one inverse of (q; q)**r at
     order // d by Newton iteration, whose product a*g at each doubling is
@@ -360,36 +370,47 @@ def eta_quotient(
     convert = p and u <= top
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
-    # d ascending, so p*d comes after the d whose rewrite or conversion
-    # feeds it; a level above the order has the factor 1
-    while todo := [x for x, r in exponents.items() if x <= order and (r > 0 or convert and r)]:
+
+    def levels():
+        # a level above the order has the factor 1
+        return [x for x, r in exponents.items() if x <= order and (r > 0 or convert and r)]
+
+    # d ascending, so p*d comes after the d whose rewrite or conversion feeds it
+    todo = levels()
+    while todo:
         if convert and (g := gcd(step, *todo)) > 1:
             # the rest is a series in q^g, and the progression reads one class
+            out = out[offset % g :: g]
+        else:
+            d = min(todo)
+            r = exponents.pop(d)
+            moved = 0
+            if r < 0:
+                # (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), applied c times
+                c = -(r // u)
+                r, moved = r + c * u, -c * (u // p)
+            if p and (k := r // p) >= alpha and (
+                _passes(r % p) + (alpha - 1) * (_passes(p) + 1) + _passes(k - alpha + 1) < _passes(r)
+            ):
+                e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % u for j in range(alpha)]
+                # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
+                # for j = m-1, ..., 0, where out holds F^(m-j) X
+                acc = _axpy(0, e[-1], out, u)
+                for e_j in reversed(e[:-1]):
+                    out = _euler_power(out, p * d, 1, u)
+                    acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
+                out, r, moved = acc, r % p, moved + k - alpha + 1
+            if moved:
+                exponents[p * d] = exponents.get(p * d, 0) + moved
+            # the levels after d read one class mod g, which d's last pass computes
+            todo = levels()
+            g = gcd(step, *todo) if convert and r else 1
+            out = _euler_power(out, d, r, u, g, offset % g)
+        if g > 1:
             o = offset % g
-            out, order, step, offset = out[o::g], (order - o) // g, step // g, offset // g
+            order, step, offset = (order - o) // g, step // g, offset // g
             exponents = {x // g: exponents[x] for x in todo}
-            continue
-        d = min(todo)
-        r = exponents.pop(d)
-        moved = 0
-        if r < 0:
-            # (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), applied c times
-            c = -(r // u)
-            r, moved = r + c * u, -c * (u // p)
-        if p and (k := r // p) >= alpha and (
-            _passes(r % p) + (alpha - 1) * (_passes(p) + 1) + _passes(k - alpha + 1) < _passes(r)
-        ):
-            e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % u for j in range(alpha)]
-            # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
-            # for j = m-1, ..., 0, where out holds F^(m-j) X
-            acc = _axpy(0, e[-1], out, u)
-            for e_j in reversed(e[:-1]):
-                out = _euler_power(out, p * d, 1, u)
-                acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
-            out, r, moved = acc, r % p, moved + k - alpha + 1
-        if moved:
-            exponents[p * d] = exponents.get(p * d, 0) + moved
-        out = _euler_power(out, d, r, u)
+            todo = levels()
     out = out.tolist()
     negative = [(d, -r) for d, r in exponents.items() if r < 0 and d <= order]
     for d, r in negative:
@@ -422,12 +443,13 @@ def jacobi_terms(delta: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _euler_power(coeffs, d: int, r: int, modulus: int | None) -> np.ndarray:
-    """coeffs * (q^d; q^d)**r for r >= 1, an array: r // 3 Jacobi passes,
-    r % 3 Euler passes."""
+def _euler_power(coeffs, d: int, r: int, modulus: int | None, g: int = 1, o: int = 0) -> np.ndarray:
+    """The class o mod g of coeffs * (q^d; q^d)**r for r >= 1, an array:
+    r // 3 Jacobi passes, r % 3 Euler passes, the last computing the class."""
     n = len(coeffs) - 1
-    coeffs = _sparse_passes(coeffs, jacobi_terms(d, n), r // 3, modulus)
-    return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus)
+    jacobi_class = (1, 0) if r % 3 else (g, o)
+    coeffs = _sparse_passes(coeffs, jacobi_terms(d, n), r // 3, modulus, *jacobi_class)
+    return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus, g, o)
 
 
 def _passes(r: int) -> int:
@@ -455,19 +477,28 @@ def array_dtype(bound: int | None):
 
 
 def _sparse_passes(
-    coeffs, terms: list[tuple[int, int]], r: int, modulus: int | None
+    coeffs, terms: list[tuple[int, int]], r: int, modulus: int | None, g: int = 1, o: int = 0
 ) -> np.ndarray:
-    """coeffs * (sum of w * q^e over terms)**r, for (exponent, weight) terms
-    that start with (0, 1), by r passes of weighted shifted additions.
+    """The coefficients o, o + g, o + 2g, ... of coeffs * (sum of w * q^e
+    over terms)**r, for (exponent, weight) terms with ascending exponents
+    below len(coeffs) that start with (0, 1), by r passes of weighted
+    shifted additions; 0 <= o < g.
 
     Over Z/u the weights are reduced to centred residues and zero ones are
     dropped.  The other terms are grouped by |w|: a pass forms |w| * acc once
     per group, over the prefix the group's smallest shift reads (acc itself
-    when |w| = 1), and adds or subtracts one shifted view of it per term.  A
-    pass sums residues below u times the weights, so its values stay below
-    u * sum|w|, the bound that picks the array's dtype.  coeffs is a list or
-    an array, and the product is returned in that dtype's array (coeffs
-    itself when r = 0), so chained passes convert from a list once.
+    when |w| = 1), and adds or subtracts one shifted view of it per term.
+    When coeffs is c*1, nothing past index 0 being nonzero, the first pass
+    writes c*w at each exponent instead.  When g > 1 the last pass computes
+    only the class o mod g: it copies acc once into g contiguous rows, row
+    rho holding acc[rho::g], so that output t reads entry t - ceil((e - o)/g)
+    of row (o - e) mod g, and forms |w| times a row once per |w| and row.
+    Over Z/u coeffs must hold residues in [0, u): with P and N the sums of
+    the positive and of the absolute negative weights, (0, 1) included, a
+    pass then stays within [-(u-1)N, (u-1)P], and u * max(P, N) is the
+    bound that picks the array's dtype.  coeffs is a list or an array, and
+    the result is returned in that dtype's array (coeffs itself when r = 0),
+    so chained passes convert from a list once.
     """
     if r == 0:
         return coeffs
@@ -476,28 +507,59 @@ def _sparse_passes(
     if modulus is not None:
         reduced = ((e, w % modulus) for e, w in terms)
         terms = [(e, w - modulus if w > modulus // 2 else w) for e, w in reduced if w]
-        bound = modulus * sum(abs(w) for _, w in terms)
+        bound = modulus * max(sum(w for _, w in terms if w > 0), -sum(w for _, w in terms if w < 0))
     acc = np.array(coeffs, dtype=array_dtype(bound))
-    work = np.empty_like(acc)
-    scratch = np.empty_like(acc)
-    # every pass reads acc and writes work, so the views are built once; the
-    # first term of each |w| has the smallest shift and the longest prefix
-    plan = {}
-    for e, w in terms[1:]:
-        size = abs(w)
-        if size not in plan:
-            plan[size] = (acc[: n - e], (acc if size == 1 else scratch)[: n - e], [])
-        _, prod, adds = plan[size]
-        adds.append((work[e:], prod[: n - e], np.add if w > 0 else np.subtract))
-    for _ in range(r):
-        np.copyto(work, acc)
-        for size, (src, prod, adds) in plan.items():
-            if size != 1:
+    if not np.count_nonzero(acc[1:]):
+        # acc is c*1: the first pass writes c*w at each exponent
+        c, acc = int(acc[0]), np.zeros_like(acc)
+        acc[[e for e, _ in terms]] = [c * w if modulus is None else c * w % modulus for _, w in terms]
+        r -= 1
+
+    def plan(rows, scratch, out, o):
+        """The steps of a pass into out, the class o, from rows, where row
+        rho holds the input's class rho mod len(rows): per |w|, the scratch
+        rows it forms and the shifted adds.  The first term of each |w| and
+        row has the smallest shift and the longest prefix."""
+        steps, k, m = {}, len(rows), len(out)
+        for e, w in terms[1:]:
+            s = (e - o + k - 1) // k
+            if s < m:
+                size, rho = abs(w), (o - e) % k
+                if size not in steps:
+                    steps[size] = ({}, [])
+                prods, adds = steps[size]
+                prod = rows if size == 1 else scratch
+                if prod is scratch and rho not in prods:
+                    prods[rho] = (rows[rho][: m - s], scratch[rho][: m - s])
+                adds.append((out[s:], prod[rho][: m - s], np.add if w > 0 else np.subtract))
+        return steps
+
+    def run(steps, first, out, dest):
+        """One pass: first copied into out, the steps applied to it, and
+        the result reduced into dest."""
+        np.copyto(out, first)
+        for size, (prods, adds) in steps.items():
+            for src, prod in prods.values():
                 np.multiply(src, size, out=prod)
             for dst, shifted, op in adds:
                 op(dst, shifted, out=dst)
         if modulus is None:
-            np.copyto(acc, work)
+            np.copyto(dest, out)
         else:
-            np.remainder(work, modulus, out=acc)
-    return acc
+            np.remainder(out, modulus, out=dest)
+        return dest
+
+    last = g > 1 and r > 0
+    if r > last:
+        # every full pass reads acc and writes work, so the views are built once
+        work = np.empty_like(acc)
+        steps = plan([acc], [np.empty_like(acc)], work, 0)
+        for _ in range(r - last):
+            run(steps, acc, work, acc)
+    if not last:
+        return acc if g == 1 else acc[o::g]
+    rows = np.zeros(g * -(-n // g), dtype=acc.dtype)
+    rows[:n] = acc
+    rows = rows.reshape(-1, g).T.copy()
+    out = np.empty(len(range(o, n, g)), dtype=acc.dtype)
+    return run(plan(rows, np.empty_like(rows), out, o), rows[o, : len(out)], out, np.empty_like(out))

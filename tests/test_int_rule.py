@@ -17,7 +17,6 @@ SPEC = tc.EtaQuotientSpec(1, {1: 1})
 # for 1, the valid value is 1, so True is refused by the rule and not by a
 # range check.
 VALID = {
-    "CoefficientRing": dict(modulus=2),
     "CongruenceClaim": dict(sequence="f", step=1, offset=0, modulus=2),
     "CosetRep": dict(a=1, b=0, c=1, d=1),
     "EtaQuotientSpec": dict(level=1, exponents={1: 1}),

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -303,9 +303,9 @@ def test_eta_quotient_rewrites_only_where_it_saves_passes(monkeypatch, spec, u, 
     original = tc.series._sparse_passes
     counted = []
 
-    def count(coeffs, terms, r, modulus):
+    def count(coeffs, terms, r, *args):
         counted.append(r)
-        return original(coeffs, terms, r, modulus)
+        return original(coeffs, terms, r, *args)
 
     monkeypatch.setattr(tc.series, "_sparse_passes", count)
     got = tc.eta_quotient(spec, 2_000, tc.residues_mod(u)).coeffs
@@ -419,38 +419,114 @@ def test_array_dtype_ladder():
         assert array_dtype(bound) is dtype, bound
 
 
+def signed_sides(weights):
+    """(P, N): the sums of the positive and of the absolute negative weights."""
+    weights = list(weights)
+    return sum(w for w in weights if w > 0), -sum(w for w in weights if w < 0)
+
+
 def test_sparse_pass_dtype_bound():
     # (q;q)^6 is two Jacobi passes, the second over residues of (q;q)^3 close
-    # to u.  A pass keeps its values below u * sum|w| over the weights
-    # centred mod u, and that bound picks int8 below 2**7, int16 below
-    # 2**15, int32 below 2**31, int64 below 2**63 and object above; each
-    # limit gets the largest modulus below it and the next one.  The last
-    # modulus is one the Euler pass bound (number of terms) * u < 2**63
-    # would have kept in int64.
+    # to u.  A pass over residues keeps its values within [-(u-1)N, (u-1)P]
+    # for the weights centred mod u, so below u * max(P, N), and that bound
+    # picks int8 below 2**7, int16 below 2**15, int32 below 2**31, int64
+    # below 2**63 and object above; each limit gets the largest modulus
+    # below it and the next one.  The last modulus is one the Euler pass
+    # bound u * max(P, N) < 2**63 would have kept in int64.
     spec = tc.EtaQuotientSpec(1, {1: 6})
     order = 200
     terms = jacobi_terms(1, order)
-    weight = sum(abs(w) for _, w in terms)
+    side = max(signed_sides(w for _, w in terms))
 
     def bound(u):
-        return u * sum(min(w % u, -w % u) for _, w in terms)
+        centred = (c - u if c > u // 2 else c for c in (w % u for _, w in terms))
+        return u * max(signed_sides(centred))
 
     exact_coeffs = tc.eta_quotient(spec, order).coeffs
     moduli = []
     for limit in (2**7, 2**15, 2**31, 2**63):
-        # from u = 79 on no weight (at most 39) reduces, so the bound is u * weight
-        if limit <= 79 * weight:
+        # from u = 79 on no weight (at most 39) reduces, so the bound is u * side
+        if limit <= 79 * side:
             below = max(u for u in range(2, 79) if bound(u) < limit)
         else:
-            below = (limit - 1) // weight
+            below = (limit - 1) // side
         assert bound(below) < limit <= bound(below + 1)
         moduli += [below, below + 1]
-    euler_int64 = (2**63 - 1) // len(pentagonal_terms(1, order))
-    assert euler_int64 * weight >= 2**63
+    euler_int64 = (2**63 - 1) // max(signed_sides(w for _, w in pentagonal_terms(1, order)))
+    assert euler_int64 * side >= 2**63
     moduli.append(euler_int64)
     for u in moduli:
         got = tc.eta_quotient(spec, order, tc.residues_mod(u)).coeffs
         assert got == tuple(c % u for c in exact_coeffs), u
+
+
+@pytest.mark.parametrize(
+    "u,weights,bound,dtype",
+    [
+        # the bound u * max(P, N), P and N counting the leading (0, 1), at
+        # 2**7 - 1 and just under it picks int8, and at 2**7 int16
+        (127, [-1], 127, np.int8),
+        (63, [1], 126, np.int8),
+        (128, [-1], 128, np.int16),
+        (64, [1], 128, np.int16),
+        # at 2**15 - 1 int16, and past 2**15 int32
+        (151, [-75, -75, -67], 32767, np.int16),
+        (151, [75, 75, 66], 32767, np.int16),
+        (152, [-75, -75, -67], 32984, np.int32),
+        (152, [75, 75, 66], 32984, np.int32),
+    ],
+)
+def test_sparse_pass_signed_bound_at_the_dtype_limits(u, weights, bound, dtype):
+    # all weights but the leading 1 of one sign and every input at u - 1, so
+    # the sums reach (u-1)P, or (u-1)(1 - N), as far as the dtype allows
+    sparse_passes = tc.series._sparse_passes
+    terms = [(0, 1)] + [(e, w) for e, w in enumerate(weights, 1)]
+    P, N = signed_sides(w for _, w in terms)
+    assert u * max(P, N) == bound
+    for coeffs in ([u - 1] * 12, [u - 1] + [0] * 11):
+        exact_coeffs = sparse_passes(np.array(coeffs, dtype=object), terms, 1, None).tolist()
+        if coeffs[1]:
+            assert max(exact_coeffs) == (u - 1) * P or min(exact_coeffs) == (u - 1) * (1 - N)
+        got = sparse_passes(coeffs, terms, 1, u)
+        assert got.dtype == dtype
+        assert got.tolist() == [c % u for c in exact_coeffs]
+        for g, o in ((2, 1), (5, 3)):
+            assert sparse_passes(coeffs, terms, 1, u, g, o).tolist() == [c % u for c in exact_coeffs][o::g]
+
+
+@st.composite
+def sparse_pass_cases(draw):
+    """(coeffs, terms, r, modulus, g, o): ascending terms from (0, 1), inputs
+    that are c*1 about half the time, and g from 2 to past the length."""
+    n = draw(st.integers(1, 40))
+    modulus = draw(st.one_of(st.none(), st.integers(2, 400), st.just(HUGE_MODULUS)))
+    shifts = st.tuples(st.integers(1, max(n - 1, 1)), st.integers(-40, 40))
+    terms = [(0, 1)] + sorted(draw(st.lists(shifts, unique_by=lambda t: t[0], max_size=min(n - 1, 8))))
+    values = st.integers(-(10**6), 10**6) if modulus is None else st.integers(0, modulus - 1)
+    if draw(st.booleans()):
+        coeffs = [draw(values)] + [0] * (n - 1)
+    else:
+        coeffs = draw(st.lists(values, min_size=n, max_size=n))
+    g = draw(st.integers(2, n + 2))
+    return coeffs, terms, draw(st.integers(1, 3)), modulus, g, draw(st.integers(0, g - 1))
+
+
+@given(sparse_pass_cases())
+@example(([3, 1, 4, 1, 5, 9, 2], [(0, 1), (2, -3), (5, 7)], 2, 11, 3, 2))
+@example(([-4, 0, 0, 0, 0, 0, 0, 0], [(0, 1), (1, 2), (3, -5), (7, 1)], 3, None, 3, 1))
+def test_sparse_pass_written_and_read_class_passes_match_the_dense_product(case):
+    # a pass over c*1 writes its first pass, and with g > 1 the last pass
+    # computes the class o mod g alone; both equal the dense product
+    coeffs, terms, r, modulus, g, o = case
+    sparse_passes = tc.series._sparse_passes
+    n = len(coeffs)
+    expected = coeffs
+    for _ in range(r):
+        expected = oracles.poly_mul(expected, dense(terms, n - 1), n - 1)
+    if modulus is not None:
+        expected = [c % modulus for c in expected]
+    assert sparse_passes(coeffs, terms, r, modulus).tolist() == expected
+    assert sparse_passes(coeffs, terms, r, modulus, g, o).tolist() == expected[o::g]
 
 
 def test_sparse_pass_groups_weights_by_magnitude():

@@ -10,9 +10,13 @@ is, and a change that saves work shows it here exactly.
 Counted, per run and from empty expansion memos:
   eta       each eta_quotient call (verification's and tspp's) and its order;
   passes    the sparse passes of series._sparse_passes (tspp binds its own
-            name) and their shifted-add elements: per pass, n - e for each
-            term after the first whose weight survives reduction mod u
-            (the alpha axpys of each rewritten exponent are not counted);
+            name) and their shifted-add elements, over the terms after the
+            first whose weight survives reduction mod u (kept terms): a
+            full pass counts n - e per kept term; the written first pass
+            over an input c*1 counts 0; the read-class last pass of a call
+            with g > 1 counts, per kept term, the slots of the output class
+            o mod g that it adds to (the alpha axpys of each rewritten
+            exponent are not counted);
   mul       each series._mul call and its output length n + 1;
   inverse   each series._inverse call and its size n;
   slots     the x-slots (order + 2) // 3 of each tspp_series call;
@@ -22,6 +26,7 @@ Counted, per run and from empty expansion memos:
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 import tsppcong as tc
@@ -63,11 +68,16 @@ def count(monkeypatch):
 
     work = Work()
 
-    def passes(result, coeffs, terms, r, modulus):
+    def passes(result, coeffs, terms, r, modulus, g=1, o=0):
         n = len(coeffs)
         kept = [e for e, w in terms[1:] if modulus is None or w % modulus]
+        written = int(r > 0 and not np.any(coeffs[1:]))
+        classed = int(g > 1 and r > written)
         work.passes += r
-        work.elements += r * sum(n - e for e in kept)
+        work.elements += (r - written - classed) * sum(n - e for e in kept)
+        if classed:
+            slots = len(range(o, n, g))
+            work.elements += sum(max(0, slots - (e - o + g - 1) // g) for e in kept)
 
     def eta(result, spec, order, *args, **kwargs):
         work.eta.append(order)
@@ -110,14 +120,16 @@ def count(monkeypatch):
 # 122, rewritten in 10 passes, which leaves -3 on 25, and so on up the
 # powers of 5 below the order: 30 more passes at order 604 and 60 at
 # 53 104, the first three levels each on one class mod 5 of the last.  Mod
-# 11 the -1 on 11 becomes 10, 4 passes, on each power of 11 below the order
+# 11 the -1 on 11 becomes 10, 4 passes, on each power of 11 below the order.
+# The first pass over the constant 1 writes its terms, and the last pass
+# before each class cut, and of each expansion, computes only the class read
 PROOF_WORK = {
-    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 110, 118_427_589, 0, 0, (), 0, 170),
-    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 110, 118_427_589, 0, 0, (), 0, 170),
-    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 36, 318_607_427, 0, 0, (), 0, 306),
-    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 36, 318_607_427, 0, 0, (), 0, 306),
-    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 89, 0, 0, (), 0, 4),
-    "f(250n+125) = 0 (mod 25)": ((104, 2229), 42, 574_154, 0, 0, (), 0, 18),
+    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 110, 93_641_075, 0, 0, (), 0, 170),
+    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 110, 93_641_075, 0, 0, (), 0, 170),
+    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 36, 183_400_975, 0, 0, (), 0, 306),
+    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 36, 183_400_975, 0, 0, (), 0, 306),
+    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 7, 0, 0, (), 0, 4),
+    "f(250n+125) = 0 (mod 25)": ((104, 2229), 42, 370_830, 0, 0, (), 0, 18),
 }
 
 
@@ -135,7 +147,7 @@ def test_each_proof_does_its_pinned_work(count):
 # memo), and tspp_series to 10 000, 5 000 and ORACLE_MAX; only the exact
 # expansion over Z, which converts nothing, makes a Newton inverse
 REGRESS_WORK = (
-    (833, 604, 53104, 1054, 210_054, 4, 19), 377, 437_157_661, 11, 1667,
+    (833, 604, 53104, 1054, 210_054, 4, 19), 377, 277_149_063, 11, 1667,
     (834,), 21_668, 956,
 )
 
@@ -168,7 +180,7 @@ def sweep_claims(seed, count):
 # which expand nothing, and claims of one orbit share an expansion; every
 # variant has u <= T, so none makes a Newton inverse
 SWEEP_WORK = (
-    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 143, 179_326, 0, 0,
+    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 143, 153_571, 0, 0,
     (), 0, 6899,
 )
 
