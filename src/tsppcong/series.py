@@ -20,7 +20,12 @@ only one residue class of its last pass.  Over Z/u its input is residues in
 [0, u), so with P and N the sums of the positive and of the absolute
 negative weights its values lie in [-(u-1)N, (u-1)P], and it runs in the
 narrowest of int8, int16, int32 and int64 that holds u * max(P, N), else
-in object arrays.  Over Z, modulo a
+in object arrays.  Every array is reduced mod u by reduce_mod, as
+values - u * (values // u), which numpy computes with vector instructions:
+in a pass the quotient is at least -N, so u times it stays inside the
+bound; the axpy and tspp's counting kernel reduce values of at least 0,
+and the limbs of _mul values above -u, so there u times it is at least
+-u.  Over Z, modulo a
 composite, or modulo a prime power u above T, the sum of the positive
 exponents, each negative exponent r inverts (q; q)**r at order // d by
 Newton iteration whose product a*g is r's sparse passes over g, so
@@ -239,7 +244,7 @@ _NUMPY_LIMBS = 16
 def _pack(coeffs: list[int], m: int, width: int) -> int:
     if width <= 8 and len(coeffs) > _NUMPY_LIMBS:
         limbs = np.array(coeffs, dtype="<i8")
-        np.remainder(limbs, m, out=limbs)
+        reduce_mod(limbs, m, limbs)
         return int.from_bytes(limbs.view(np.uint8).reshape(-1, 8)[:, :width].tobytes(), "little")
     return int.from_bytes(b"".join((c % m).to_bytes(width, "little") for c in coeffs), "little")
 
@@ -249,8 +254,7 @@ def _unpack(raw: bytes, m: int, width: int) -> list[int]:
         limbs = np.zeros((len(raw) // width, 8), dtype=np.uint8)
         limbs[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
         values = limbs.view("<u8").ravel()
-        np.remainder(values, m, out=values)
-        return values.tolist()
+        return reduce_mod(values, m, values).tolist()
     return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
 
 
@@ -445,11 +449,14 @@ def jacobi_terms(delta: int, order: int) -> list[tuple[int, int]]:
 
 def _euler_power(coeffs, d: int, r: int, modulus: int | None, g: int = 1, o: int = 0) -> np.ndarray:
     """The class o mod g of coeffs * (q^d; q^d)**r for r >= 1, an array:
-    r // 3 Jacobi passes, r % 3 Euler passes, the last computing the class."""
+    r // 3 Jacobi passes, r % 3 Euler passes, the last computing the class.
+    A term table is built only for passes that are made."""
     n = len(coeffs) - 1
-    jacobi_class = (1, 0) if r % 3 else (g, o)
-    coeffs = _sparse_passes(coeffs, jacobi_terms(d, n), r // 3, modulus, *jacobi_class)
-    return _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus, g, o)
+    if r >= 3:
+        coeffs = _sparse_passes(coeffs, jacobi_terms(d, n), r // 3, modulus, *((1, 0) if r % 3 else (g, o)))
+    if r % 3:
+        coeffs = _sparse_passes(coeffs, pentagonal_terms(d, n), r % 3, modulus, g, o)
+    return coeffs
 
 
 def _passes(r: int) -> int:
@@ -459,12 +466,12 @@ def _passes(r: int) -> int:
 
 def _axpy(a, e: int, b: np.ndarray, modulus: int) -> np.ndarray:
     """(a + e*b) mod u for residues a (an array, or 0), e and b, in one array
-    whose dtype array_dtype picks for the bound u*u above every value."""
+    whose dtype array_dtype picks for the bound u*u above every value; the
+    sum is non-negative, so reduce_mod's product lies in [0, sum]."""
     out = np.array(b, dtype=array_dtype(modulus * modulus))
     np.multiply(out, e, out=out)
     np.add(out, np.array(a, dtype=out.dtype), out=out)
-    np.remainder(out, modulus, out=out)
-    return out
+    return reduce_mod(out, modulus, out)
 
 
 def array_dtype(bound: int | None):
@@ -474,6 +481,22 @@ def array_dtype(bound: int | None):
         if bound is not None and bound < 2 ** (np.iinfo(dtype).bits - 1):
             return dtype
     return object
+
+
+def reduce_mod(values: np.ndarray, modulus: int, out: np.ndarray) -> np.ndarray:
+    """values mod modulus, written into out, which may be values itself:
+    values - modulus * (values // modulus), for an integer or object array
+    and an int modulus >= 1.  Floor division by a positive modulus makes
+    this Python's %, and numpy divides an integer array by a scalar with
+    vector instructions, several times faster than its remainder ufunc
+    beyond a few hundred elements.  The product lies in
+    (values - modulus, values], so it is at least -modulus * N where
+    values >= -(modulus - 1) * N, and it fits any dtype that holds values
+    and modulus * N."""
+    # the quotient goes into out where that leaves values intact
+    quotient = np.floor_divide(values, modulus, out=None if np.may_share_memory(values, out) else out)
+    quotient *= modulus
+    return np.subtract(values, quotient, out=out)
 
 
 def _sparse_passes(
@@ -490,23 +513,26 @@ def _sparse_passes(
     when |w| = 1), and adds or subtracts one shifted view of it per term.
     When coeffs is c*1, nothing past index 0 being nonzero, the first pass
     writes c*w at each exponent instead.  When g > 1 the last pass computes
-    only the class o mod g: it copies acc once into g contiguous rows, row
+    only the class o mod g: it writes acc once into g contiguous rows, row
     rho holding acc[rho::g], so that output t reads entry t - ceil((e - o)/g)
-    of row (o - e) mod g, and forms |w| times a row once per |w| and row.
+    of row (o - e) mod g, and forms |w| times a row once per |w| and row,
+    with a scratch row only for a row that some |w| != 1 reads.
     Over Z/u coeffs must hold residues in [0, u): with P and N the sums of
     the positive and of the absolute negative weights, (0, 1) included, a
     pass then stays within [-(u-1)N, (u-1)P], and u * max(P, N) is the
-    bound that picks the array's dtype.  coeffs is a list or an array, and
-    the result is returned in that dtype's array (coeffs itself when r = 0),
-    so chained passes convert from a list once.
+    bound that picks the array's dtype.  Each pass ends in reduce_mod, whose
+    quotient is then at least -N, so u times it stays inside that bound.
+    coeffs is a list or an array, and the result is returned in that
+    dtype's array (coeffs itself when r = 0), so chained passes convert
+    from a list once.
     """
     if r == 0:
         return coeffs
     n = len(coeffs)
     bound = None
     if modulus is not None:
-        reduced = ((e, w % modulus) for e, w in terms)
-        terms = [(e, w - modulus if w > modulus // 2 else w) for e, w in reduced if w]
+        half = modulus // 2
+        terms = [(e, v - modulus if v > half else v) for e, w in terms if (v := w % modulus)]
         bound = modulus * max(sum(w for _, w in terms if w > 0), -sum(w for _, w in terms if w < 0))
     acc = np.array(coeffs, dtype=array_dtype(bound))
     if not np.count_nonzero(acc[1:]):
@@ -515,23 +541,27 @@ def _sparse_passes(
         acc[[e for e, _ in terms]] = [c * w if modulus is None else c * w % modulus for _, w in terms]
         r -= 1
 
-    def plan(rows, scratch, out, o):
+    def plan(rows, out, o):
         """The steps of a pass into out, the class o, from rows, where row
         rho holds the input's class rho mod len(rows): per |w|, the scratch
-        rows it forms and the shifted adds.  The first term of each |w| and
-        row has the smallest shift and the longest prefix."""
-        steps, k, m = {}, len(rows), len(out)
+        rows it forms and the shifted adds.  Terms ascend, so the first one
+        to read a row has the smallest shift and the longest prefix, for its
+        |w| and over all |w| != 1, which alone read a scratch row."""
+        steps, scratch, k, m = {}, {}, len(rows), len(out)
         for e, w in terms[1:]:
-            s = (e - o + k - 1) // k
+            # a full pass, one row, shifts by e
+            s, rho = (e, 0) if k == 1 else (-((o - e) // k), (o - e) % k)
             if s < m:
-                size, rho = abs(w), (o - e) % k
+                size = abs(w)
                 if size not in steps:
                     steps[size] = ({}, [])
                 prods, adds = steps[size]
-                prod = rows if size == 1 else scratch
-                if prod is scratch and rho not in prods:
+                if size != 1 and rho not in prods:
+                    if rho not in scratch:
+                        scratch[rho] = np.empty_like(rows[rho][: m - s])
                     prods[rho] = (rows[rho][: m - s], scratch[rho][: m - s])
-                adds.append((out[s:], prod[rho][: m - s], np.add if w > 0 else np.subtract))
+                prod = rows[rho] if size == 1 else scratch[rho]
+                adds.append((out[s:], prod[: m - s], np.add if w > 0 else np.subtract))
         return steps
 
     def run(steps, first, out, dest):
@@ -545,21 +575,24 @@ def _sparse_passes(
                 op(dst, shifted, out=dst)
         if modulus is None:
             np.copyto(dest, out)
-        else:
-            np.remainder(out, modulus, out=dest)
-        return dest
+            return dest
+        return reduce_mod(out, modulus, dest)
 
     last = g > 1 and r > 0
     if r > last:
         # every full pass reads acc and writes work, so the views are built once
         work = np.empty_like(acc)
-        steps = plan([acc], [np.empty_like(acc)], work, 0)
+        steps = plan([acc], work, 0)
         for _ in range(r - last):
             run(steps, acc, work, acc)
+        del work, steps
     if not last:
         return acc if g == 1 else acc[o::g]
-    rows = np.zeros(g * -(-n // g), dtype=acc.dtype)
-    rows[:n] = acc
-    rows = rows.reshape(-1, g).T.copy()
-    out = np.empty(len(range(o, n, g)), dtype=acc.dtype)
-    return run(plan(rows, np.empty_like(rows), out, o), rows[o, : len(out)], out, np.empty_like(out))
+    # row rho is acc[rho::g], zero-padded to the same length; from here on
+    # only the rows are read, so acc is let go before the scratch rows
+    rows = np.zeros((g, -(-n // g)), dtype=acc.dtype)
+    rows[:, : n // g] = acc[: n - n % g].reshape(-1, g).T
+    rows[: n % g, -1] = acc[n - n % g :]
+    del acc
+    out = np.empty(len(range(o, n, g)), dtype=rows.dtype)
+    return run(plan(rows, out, o), rows[o, : len(out)], out, np.empty_like(out))

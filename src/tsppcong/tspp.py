@@ -36,6 +36,7 @@ from .series import (
     _sparse_passes,
     array_dtype,
     eta_quotient,
+    reduce_mod,
 )
 
 
@@ -164,8 +165,10 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     sum down the columns of a (rows, 2j+1) view, taken over the first
     lc - j(j+1) slots that the sum reads from offset j(j+1); so about
     sqrt(lc) steps expand lc slots.  Over Z/u each T_j is reduced and the
-    total once at the end: a column sums at most lc residues and the total
-    at most lc + 1, so u * (lc + 1) picks the array's dtype.
+    total once at the end, by series.reduce_mod: a column sums at most lc
+    residues and the total at most lc + 1, so u * (lc + 1) picks the
+    array's dtype, and every value is non-negative, so u times its
+    quotient lies between 0 and the value.
     """
     require_int(order, "order", 0)
     u = ring.modulus
@@ -181,11 +184,11 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
         block = term[: rows * width].reshape(rows, width)
         np.cumsum(block, axis=0, dtype=dtype, out=block)
         if u is not None:
-            np.remainder(block, u, out=block)
+            reduce_mod(block, u, block)
         total[start:] += term[: lc - start]
         j += 1
     if u is not None:
-        np.remainder(total, u, out=total)
+        reduce_mod(total, u, total)
     out = [1] + [0] * order
     out[1::3] = total.tolist()
     return TruncatedSeries(ring, tuple(out))

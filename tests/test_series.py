@@ -2,7 +2,9 @@
 algebraic property tests."""
 
 import re
+import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tsppcong as tc
-from tsppcong.series import array_dtype, jacobi_terms, pentagonal_terms
+from tsppcong.series import array_dtype, jacobi_terms, pentagonal_terms, reduce_mod
 
 MODULI = [4, 5, 11, 25, 121, 125]
 # fits int64, but one pass over it could overflow: forces the object arrays
@@ -492,6 +494,106 @@ def test_sparse_pass_signed_bound_at_the_dtype_limits(u, weights, bound, dtype):
         assert got.tolist() == [c % u for c in exact_coeffs]
         for g, o in ((2, 1), (5, 3)):
             assert sparse_passes(coeffs, terms, 1, u, g, o).tolist() == [c % u for c in exact_coeffs][o::g]
+
+
+# (u, P, N) whose pass bound u * max(P, N) is the largest each width of
+# array_dtype's ladder admits, as in the cases above: 127 = 127 * 1,
+# 32767 = 151 * 217, 2**31 - 1 (a prime) and
+# 2**63 - 1 = 49 * 188232082384791343; then the least object bound 2**63
+# and one far above it
+REDUCE_LIMITS = [
+    (127, 1, 1, np.int8),
+    (151, 1, 217, np.int16),
+    (151, 217, 1, np.int16),
+    (2**31 - 1, 1, 1, np.int32),
+    ((2**63 - 1) // 49, 1, 49, np.int64),
+    ((2**63 - 1) // 49, 49, 1, np.int64),
+    (7, (2**63 - 1) // 7, 1, np.int64),
+    (2**63, 1, 1, object),
+    (2**70 + 3, 5, 3, object),
+]
+
+
+def check_reduce_mod(u, values, dtype):
+    """reduce_mod of values, in an array of dtype, into a separate array and
+    in place, against Python's % on each value."""
+    expected = [v % u for v in values]
+    array = np.array(values, dtype=dtype)
+    separate = reduce_mod(array, u, np.empty_like(array))
+    assert array.tolist() == values
+    in_place = reduce_mod(array, u, array)
+    for got in (separate, in_place):
+        assert got.dtype == dtype
+        assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("u,P,N,dtype", REDUCE_LIMITS)
+def test_reduce_mod_at_the_pass_bound_limits(u, P, N, dtype):
+    # a pass's values lie in [-(u-1)N, (u-1)P]: both ends, the values next
+    # to multiples of u, and the quotient's least value -N, whose product
+    # -u*N is the bound itself where N < u
+    assert array_dtype(u * max(P, N)) is dtype
+    if dtype is not object:
+        assert u * max(P, N) == np.iinfo(dtype).max
+    low, high = -(u - 1) * N, (u - 1) * P
+    near = [k * u + d for k in (-N, -1, 0, 1, P - 1) for d in (-1, 0, 1)]
+    values = [low, high, 0] + [v for v in near if low <= v <= high]
+    check_reduce_mod(u, values, dtype)
+    if N < u:
+        assert min(v // u for v in values) == -N
+
+
+@st.composite
+def reduce_cases(draw):
+    """(u, values, dtype): u of any size up to 2**66, weight sums P >= 1 and
+    N >= 0, the dtype array_dtype picks for u * max(P, N), and values in
+    [-(u-1)N, (u-1)P]."""
+    u = draw(st.integers(2, 2 ** draw(st.integers(2, 66))))
+    P, N = draw(st.integers(1, 400)), draw(st.integers(0, 400))
+    values = draw(st.lists(st.integers(-(u - 1) * N, (u - 1) * P), min_size=1, max_size=30))
+    return u, values, array_dtype(u * max(P, N))
+
+
+@given(reduce_cases())
+@example((127, [-126, 126, -1, 0, 1], np.int8))
+def test_reduce_mod_matches_python_mod(case):
+    # under numpy's value-based casting before numpy 2 too, values // u keeps
+    # the array's width, since u is below the bound that picked it
+    check_reduce_mod(*case)
+
+
+def test_one_array_reduction():
+    # every array reduction in the package is reduce_mod; np.remainder (and
+    # its alias np.mod) and np.fmod are not used
+    package = Path(tc.__file__).parent
+    pattern = re.compile(r"\b(np|numpy)\.(remainder|mod|fmod)\b")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not offenders
+
+
+def test_read_class_pass_peak_memory():
+    # one read-class pass, int16, n = 200 000, g = 11 (the mod-11 Jacobi
+    # pass): the rows are written straight from acc, acc is let go before
+    # the scratch rows, and only the rows some |w| != 1 reads get one, so the
+    # peak is acc and the rows, 2.01 times the input's bytes.  With a
+    # zero-padded copy, transposed rows and a full scratch it was 3.54
+    n, g, u = 200_000, 11, 11
+    coeffs = np.random.default_rng(11).integers(0, u, n).astype(np.int16)
+    terms = jacobi_terms(1, n - 1)
+    expected = tc.series._sparse_passes(coeffs, terms, 1, u)[3::g]
+    tracemalloc.start()
+    try:
+        got = tc.series._sparse_passes(coeffs, terms, 1, u, g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int16 and got.tolist() == expected.tolist()
+    assert peak < 2.1 * coeffs.nbytes
 
 
 @st.composite
