@@ -6,10 +6,10 @@ coefficients of q**0 through q**order; eta_quotient is what builds one.
 The dense products that eta quotients still make, where a negative exponent
 is inverted, go through one multiply, _mul, by Kronecker substitution: each
 operand becomes one Python int of fixed-width limbs, so a product costs one
-big-integer multiplication, and a sum of products costs one per term plus
-big-integer additions.  Over Z the result is taken modulo a bound larger
-than twice any coefficient and lifted to the centred range.  The inverse of
-(q; q)**r is one Newton loop whose product a*g is r's sparse passes over g.
+big-integer multiplication.  Over Z the result is taken modulo a bound
+larger than twice any coefficient and lifted to the centred range.  The
+inverse of (q; q)**r is one Newton loop whose product a*g is r's sparse
+passes over g.
 
 Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
 weighted shifted additions: r // 3 passes over the Jacobi support of
@@ -25,15 +25,11 @@ values - u * (values // u), which numpy computes with vector instructions:
 in a pass the quotient is at least -N, so u times it stays inside the
 bound; the axpy and tspp's counting kernel reduce values of at least 0,
 and the limbs of _mul values above -u, so there u times it is at least
--u.  Over Z, modulo a
-composite, or modulo a prime power u above T, the sum of the positive
-exponents, each negative exponent r inverts (q; q)**r at order // d by
-Newton iteration whose product a*g is r's sparse passes over g, so
-(q; q)**r is never expanded; the inverse is multiplied into the d residue
-classes of the exponent separately.  eta_quotient can return one
-progression c(step*n + offset) of the expansion; the last negative factor
-then computes only the coefficients the progression reads, as a sum of
-step / gcd(step, d) products of interleaved pieces.  Everything is exact:
+-u.  Over Z, modulo a composite, or modulo a prime power u above T, the
+sum of the positive exponents, each negative exponent r inverts (q; q)**r
+at order // d by Newton iteration whose product a*g is r's sparse passes
+over g, so (q; q)**r is never expanded; the inverse is multiplied into the
+d residue classes of the exponent separately.  Everything is exact:
 fixed-width integer or object numpy arrays and Python ints, no floating
 point.
 
@@ -66,15 +62,19 @@ c = ceil(-r / u), and c*u/p is taken off the exponent on p*d, which the
 same ascending loop meets later, converts in turn, and drops once p*d is
 above the order.  Each conversion adds less than u, so the gate u <= T
 takes it only where the positive exponents already cost about T/3 full
-passes, and no Newton inverse or dense product is left.  Before the first
-level and after each, the loop takes g = gcd(step, every level still
-carrying an exponent): the rest of the product is then a series in q^g, so
-of the expansion so far only the class offset mod g is read.  A level's
-last pass computes only that class (one that ends in a Horner axpy is cut
-before the next level), and step, offset, the order and the levels are
-divided by g.  p is the least prime factor of u, sought by
-arith.prime_power only up to T, since a rewrite needs p <= r and a
-conversion u <= T; u itself is never factored.
+passes, and no Newton inverse or dense product is left.  p is the least
+prime factor of u, sought by arith.prime_power only up to T, since a
+rewrite needs p <= r and a conversion u <= T; u itself is never factored.
+
+eta_quotient can return one progression c(step*n + offset) of the
+expansion, and it narrows to it by one rule in every ring.  At the start
+and after each level, it takes g = gcd(step, every level still carrying an
+exponent, negative ones included): the rest of the product is then a
+series in q^g, so of the expansion so far only the class offset mod g is
+read.  A level's last pass computes only that class (the start, and a
+level that ends in a Horner axpy, take it as a view), and step, offset,
+the order and the levels are divided by g.  So a Newton inverse runs at
+the order the cuts leave, and the progression is read from its product.
 """
 
 from __future__ import annotations
@@ -209,26 +209,25 @@ def pentagonal_terms(delta: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _mul(pairs: list[tuple[list[int], list[int]]], n: int, modulus: int | None) -> list[int]:
-    """Coefficients 0..n of the sum of a*b over the pairs (a, b), reduced
-    mod modulus, or exact when it is None.
+def _mul(a: list[int], b: list[int], n: int, modulus: int | None) -> list[int]:
+    """Coefficients 0..n of a*b, reduced mod modulus, or exact when it is
+    None.
 
-    Kronecker substitution: every operand is packed into one Python int, as
+    Kronecker substitution: each operand is packed into one Python int, as
     fixed-width little-endian limbs wide enough to hold any coefficient of
-    the sum; the packed products are added and the sum is unpacked once.
-    Over Z the sum is taken mod an odd m exceeding twice the largest
-    possible coefficient and lifted back to the centred range.
+    the product, and the packed product is unpacked once.  Over Z the
+    product is taken mod an odd m exceeding twice the largest possible
+    coefficient and lifted back to the centred range.
     """
-    pairs = [(a[: n + 1], b[: n + 1]) for a, b in pairs]
+    a, b = a[: n + 1], b[: n + 1]
     m = modulus
     if m is None:
         # max with 1 keeps m above twice every input, even beside a zero operand
-        m = 2 * (n + 1) * sum(max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) for a, b in pairs) + 1
-    terms = sum(min(len(a), len(b)) for a, b in pairs)
-    width = max(1, ((terms * (m - 1) ** 2).bit_length() + 7) // 8)
-    total = sum(_pack(a, m, width) * _pack(b, m, width) for a, b in pairs)
+        m = 2 * (n + 1) * max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) + 1
+    width = max(1, ((min(len(a), len(b)) * (m - 1) ** 2).bit_length() + 7) // 8)
     size = width * (n + 1)
-    out = _unpack((total & ((1 << 8 * size) - 1)).to_bytes(size, "little"), m, width)
+    product = _pack(a, m, width) * _pack(b, m, width)
+    out = _unpack((product & ((1 << 8 * size) - 1)).to_bytes(size, "little"), m, width)
     if modulus is None:
         half = m // 2
         out = [c - m if c > half else c for c in out]
@@ -273,30 +272,8 @@ def _inverse(times_a, n: int, modulus: int | None) -> list[int]:
         k = len(g)
         k2 = min(2 * k, n)
         e = times_a(g, k2)[k:k2]
-        g += _mul([(g, [-c for c in e])], k2 - k - 1, modulus)
+        g += _mul(g, [-c for c in e], k2 - k - 1, modulus)
     return g
-
-
-def _mul_progression(
-    a: list[int], b: list[int], s: int, period: int, modulus: int | None
-) -> list[int]:
-    """Coefficients s, s + period, s + 2*period, ... below len(a) of a*b,
-    for 0 <= s < period and b at least as long as a.
-
-    Coefficient s + period*t sums a[sigma + period*i] * b[s - sigma + period*(t - i)]
-    over sigma = 0..period-1 and i, so it is the sum over sigma of coefficient
-    t of the product of the pieces a[sigma::period] and b[s - sigma::period],
-    where a start s - sigma below zero reads one zero first.  Each product
-    stops at the last coefficient read; period 1 is the single product a*b.
-    """
-    reads = len(range(s, len(a), period))
-    if not reads:
-        return []
-    pieces = [
-        (a[sigma::period], b[s - sigma :: period] if sigma <= s else [0] + b[s - sigma + period :: period])
-        for sigma in range(min(period, len(a)))
-    ]
-    return _mul(pieces, reads - 1, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -330,33 +307,28 @@ def eta_quotient(
     though that exponent is met later in the same loop (see the module
     docstring).  Mod 125 the slice variant {1: 123, 2: 3, 5: -25} becomes
     (q;q)^3 (q^2;q^2)^3 H(z, F) / (q^5;q^5)^3: 10 passes where (q;q)^123
-    alone took 41.
+    alone takes 41.
 
     Where u <= T, a negative exponent r on d becomes r + c*u with
     c = ceil(-r / u), and c*u/p is taken off the exponent on p*d; the new r
     is then applied like a positive one.  Mod 125 each -3 left on a power of
     5 becomes 122, which the rewrite takes in 10 passes and which leaves -3
-    on the next power, so no inverse remains.  Once level d is taken off,
-    g = gcd(step, the levels still to apply), which is step when none is
-    left; when g > 1 the rest reads only the class offset mod g, so the last
-    pass of d computes only that class (see _sparse_passes), and step,
-    offset, the order and those levels are divided by g.  The same cut is
-    taken before a level when g > 1 already holds, for the initial state
-    and after a level that ends in a Horner axpy.  Mod 125 at step 125 the
-    levels 5, 25 and 125 are each applied at a fifth of the length before,
-    and the last pass of each expansion computes only the progression.
+    on the next power, so no inverse remains.  Otherwise, over Z, modulo a
+    composite or for u > T, a negative exponent -r costs one inverse of
+    (q; q)**r at order // d by Newton iteration, whose product a*g at each
+    doubling is r // 3 + r % 3 passes over g.  The dilated inverse touches
+    only exponents divisible by d, so each residue class of the exponent mod
+    d is multiplied by the undilated inverse on its own.
 
-    Otherwise a negative exponent -r costs one inverse of (q; q)**r at
-    order // d by Newton iteration, whose product a*g at each doubling is
-    r // 3 + r % 3 passes over g.  The dilated inverse touches only
-    exponents divisible by d, so each residue class of the exponent mod d is
-    multiplied by the undilated inverse on its own.  The last negative
-    factor computes only what the progression reads.
-    With g = gcd(step, d) and period = step // g, the class of rho holds the
-    exponents rho + d*j; it is read iff rho = offset (mod g), and then only
-    at j = s (mod period), where s = ((offset - rho) / g) * (d / g)**-1 mod
-    period.  Those coefficients cost one sum of period products of pieces
-    that take every period-th coefficient (_mul_progression).
+    In every ring, at the start and once each level is taken off,
+    g = gcd(step, the levels still carrying an exponent), which is step
+    when none is left; the rest reads only the class offset mod g, so the
+    last pass of the level computes only that class (see _sparse_passes),
+    and step, offset, the order and the levels are divided by g.  Mod 125
+    at step 125 the levels 5, 25 and 125 are each applied at a fifth of the
+    length of the level before, and the last pass of each expansion
+    computes only the progression; over Z, {1: 2, 6: -3} at step 9 inverts
+    (q; q)**3 at level 2 of a series cut to a third of its length.
     """
     require_int(order, "order", 0)
     require_int(step, "step", 1)
@@ -374,61 +346,50 @@ def eta_quotient(
     convert = p and u <= top
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
-
-    def levels():
+    d, r = 1, 0
+    while True:
         # a level above the order has the factor 1
-        return [x for x, r in exponents.items() if x <= order and (r > 0 or convert and r)]
-
-    # d ascending, so p*d comes after the d whose rewrite or conversion feeds it
-    todo = levels()
-    while todo:
-        if convert and (g := gcd(step, *todo)) > 1:
-            # the rest is a series in q^g, and the progression reads one class
-            out = out[offset % g :: g]
-        else:
-            d = min(todo)
-            r = exponents.pop(d)
-            moved = 0
-            if r < 0:
-                # (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), applied c times
-                c = -(r // u)
-                r, moved = r + c * u, -c * (u // p)
-            if p and (k := r // p) >= alpha and (
-                _passes(r % p) + (alpha - 1) * (_passes(p) + 1) + _passes(k - alpha + 1) < _passes(r)
-            ):
-                e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % u for j in range(alpha)]
-                # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
-                # for j = m-1, ..., 0, where out holds F^(m-j) X
-                acc = _axpy(0, e[-1], out, u)
-                for e_j in reversed(e[:-1]):
-                    out = _euler_power(out, p * d, 1, u)
-                    acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
-                out, r, moved = acc, r % p, moved + k - alpha + 1
-            if moved:
-                exponents[p * d] = exponents.get(p * d, 0) + moved
-            # the levels after d read one class mod g, which d's last pass computes
-            todo = levels()
-            g = gcd(step, *todo) if convert and r else 1
-            out = _euler_power(out, d, r, u, g, offset % g)
-        if g > 1:
-            o = offset % g
-            order, step, offset = (order - o) // g, step // g, offset // g
-            exponents = {x // g: exponents[x] for x in todo}
-            todo = levels()
+        exponents = {x: e for x, e in exponents.items() if e and x <= order}
+        # the rest is a series in q^g, so only the class offset mod g of out
+        # is read, and d's last pass computes only that class
+        g = gcd(step, *exponents)
+        o = offset % g
+        out = _euler_power(out, d, r, u, g, o) if r else out[o::g] if g > 1 else out
+        order, step, offset = (order - o) // g, step // g, offset // g
+        # the cut can lift a level above the new order
+        exponents = {x // g: e for x, e in exponents.items() if x // g <= order}
+        # d ascending, so p*d comes after the d whose rewrite or conversion feeds it
+        todo = [x for x, e in exponents.items() if e > 0 or convert]
+        if not todo:
+            break
+        d = min(todo)
+        r = exponents.pop(d)
+        moved = 0
+        if r < 0:
+            # (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), applied c times
+            c = -(r // u)
+            r, moved = r + c * u, -c * (u // p)
+        if p and (k := r // p) >= alpha and (
+            _passes(r % p) + (alpha - 1) * (_passes(p) + 1) + _passes(k - alpha + 1) < _passes(r)
+        ):
+            e = [sum((-1) ** (i - j) * comb(k, i) * comb(i, j) for i in range(j, alpha)) % u for j in range(alpha)]
+            # Horner from acc = e[m] X, m = alpha - 1: acc <- z*acc + e[j] F^(m-j) X
+            # for j = m-1, ..., 0, where out holds F^(m-j) X
+            acc = _axpy(0, e[-1], out, u)
+            for e_j in reversed(e[:-1]):
+                out = _euler_power(out, p * d, 1, u)
+                acc = _axpy(_euler_power(acc, d, p, u), e_j, out, u)
+            out, r, moved = acc, r % p, moved + k - alpha + 1
+        if moved:
+            exponents[p * d] = exponents.get(p * d, 0) + moved
     out = out.tolist()
-    negative = [(d, -r) for d, r in exponents.items() if r < 0 and d <= order]
-    for d, r in negative:
+    # what is left is negative exponents that no conversion takes
+    for d, r in exponents.items():
         inv = _inverse(
-            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, r, u).tolist(), order // d + 1, u
+            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, -r, u).tolist(), order // d + 1, u
         )
-        # only the last factor's outputs are final, so only it may skip some:
-        # out[rho + d*j] is read iff rho = offset (mod g) and j = s (mod period)
-        stride, start = (step, offset) if d == negative[-1][0] else (1, 0)
-        g = gcd(stride, d)
-        period = stride // g
-        for rho in range(start % g, min(d, order + 1), g):
-            s = (start - rho) // g * pow(d // g, -1, period) % period
-            out[rho + d * s :: d * period] = _mul_progression(out[rho::d], inv, s, period, u)
+        for rho in range(d):
+            out[rho::d] = _mul(out[rho::d], inv, (order - rho) // d, u)
     return TruncatedSeries(ring, tuple(out[offset::step]))
 
 

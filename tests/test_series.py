@@ -322,12 +322,27 @@ def test_eta_quotient_rewrites_only_where_it_saves_passes(monkeypatch, spec, u, 
         # converted, and no Newton inverse or dense product is left
         (tc.slice_variant_spec(1, 11), 11, 6_000, 275, 229, []),
         (tc.slice_variant_spec(3, 5), 125, 3_000, 125, 104, []),
-        # u > T (T = 12 and T = 0): one Newton inverse at order // d
-        (tc.slice_variant_spec(1, 11), 121, 6_000, 275, 229, [546]),
+        # u > T (T = 12 and T = 0): one Newton inverse, at the order left
+        # once the levels before the negative one are cut to the read class:
+        # mod 121, levels 1 and 2 leave 11 and step 275, so out is cut to the
+        # class 229 mod 11 and the inverse at level 1 has (6000 - 9) // 11 + 1
+        # terms, not 6000 // 11 + 1
+        (tc.slice_variant_spec(1, 11), 121, 6_000, 275, 229, [545]),
         (tc.EtaQuotientSpec(5, {5: -25}), 125, 2_000, 1, 0, [401]),
-        # either side of the gate's edge: T = u converts, T = u - 1 inverts
+        # either side of the gate's edge: T = u converts, T = u - 1 inverts,
+        # level 1 leaving 5 and step 5, so the inverse at level 1 has
+        # (1000 - 3) // 5 + 1 terms, not 1000 // 5 + 1
         (tc.EtaQuotientSpec(5, {1: 125, 5: -25}), 125, 1_000, 5, 3, []),
-        (tc.EtaQuotientSpec(5, {1: 124, 5: -25}), 125, 1_000, 5, 3, [201]),
+        (tc.EtaQuotientSpec(5, {1: 124, 5: -25}), 125, 1_000, 5, 3, [200]),
+        # over Z and modulo a composite the same cut holds: level 1 leaves 6
+        # and step 9, so out is cut to the class 1 mod 3 of offset 4, and the
+        # inverse at level 2 has 299 // 2 + 1 terms, not 900 // 6 + 1
+        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), None, 900, 9, 4, [150]),
+        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), 10, 900, 9, 4, [150]),
+        # a cut can lift a level above the order: level 1 leaves 10 and step
+        # 5, so the order 10 is cut to (10 - 3) // 5 = 1, and level 10
+        # becomes 2, whose factor is 1 there, so nothing is inverted
+        (tc.EtaQuotientSpec(10, {1: 1, 10: -1}), None, 10, 5, 3, []),
     ],
 )
 def test_eta_quotient_converts_negative_exponents_where_u_is_at_most_t(
@@ -340,16 +355,17 @@ def test_eta_quotient_converts_negative_exponents_where_u_is_at_most_t(
         sizes.append(n)
         return inverse(times_a, n, modulus)
 
-    def counted_mul(pairs, n, modulus):
+    def counted_mul(a, b, n, modulus):
         products.append(n)
-        return mul(pairs, n, modulus)
+        return mul(a, b, n, modulus)
 
     monkeypatch.setattr(tc.series, "_inverse", counted_inverse)
     monkeypatch.setattr(tc.series, "_mul", counted_mul)
-    got = tc.eta_quotient(spec, order, tc.residues_mod(u), step, offset).coeffs
+    ring = tc.INTEGERS if u is None else tc.residues_mod(u)
+    got = tc.eta_quotient(spec, order, ring, step, offset).coeffs
     assert sizes == inverses
     assert bool(products) == bool(inverses)
-    assert got == tuple(c % u for c in exact_expansion(spec, order)[offset::step])
+    assert got == tuple(c if u is None else c % u for c in exact_expansion(spec, order)[offset::step])
 
 
 def test_rewrite_past_int64_runs_its_axpy_in_object_arrays(monkeypatch):

@@ -94,7 +94,7 @@ def count(monkeypatch):
         wrap(module, "eta_quotient", eta)
     for module in (tspp, prover):
         wrap(module, "tspp_series", slots)
-    wrap(series, "_mul", lambda result, pairs, n, modulus: work.mul.append(n + 1))
+    wrap(series, "_mul", lambda result, a, b, n, modulus: work.mul.append(n + 1))
     wrap(series, "_inverse", lambda result, times_a, n, modulus: work.inverse.append(n))
     wrap(prover, "verify_instance", scanned)
 
