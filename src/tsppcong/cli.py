@@ -93,7 +93,7 @@ def _cmd_prove(args) -> int:
     doc = load_instance(args.instance)
     _check_output(out)
     report = prove_tspp_congruence(doc.claim, doc.hints)
-    oracle = oracle_check(doc.claim, tspp.tspp_series(ORACLE_MAX, residues_mod(doc.claim.modulus)))
+    oracle = oracle_check(doc.claim, ORACLE_MAX, residues_mod(doc.claim.modulus))
     out.write_text(canonical_json(report_to_doc(report, oracle)), encoding="utf-8")
     print(f"{doc.claim.describe()}: {report.verdict}")
     if report.verdict != PROVED:

@@ -330,13 +330,7 @@ def eta_quotient(
     computes only the progression; over Z, {1: 2, 6: -3} at step 9 inverts
     (q; q)**3 at level 2 of a series cut to a third of its length.
     """
-    require_int(order, "order", 0)
-    require_int(step, "step", 1)
-    require_int(offset, "offset")
-    if not 0 <= offset < step:
-        raise ValueError(f"offset {offset} outside [0, {step})")
-    if offset > order:
-        raise ValueError(f"offset {offset} is beyond the truncation order {order}")
+    _require_progression(order, step, offset)
     u = ring.modulus
     exponents = dict(spec.exponents)
     top = sum(r for r in exponents.values() if r > 0)
@@ -393,6 +387,19 @@ def eta_quotient(
     return TruncatedSeries(ring, tuple(out[offset::step]))
 
 
+def _require_progression(order: int, step: int, offset: int) -> None:
+    """Refuse a truncation order and progression step*n + offset that an
+    expansion cannot return: the offset must lie in [0, step) and at most
+    the order."""
+    require_int(order, "order", 0)
+    require_int(step, "step", 1)
+    require_int(offset, "offset")
+    if not 0 <= offset < step:
+        raise ValueError(f"offset {offset} outside [0, {step})")
+    if offset > order:
+        raise ValueError(f"offset {offset} is beyond the truncation order {order}")
+
+
 def jacobi_terms(delta: int, order: int) -> list[tuple[int, int]]:
     """Sparse support of prod_{n>=1}(1 - q^(delta*n))**3 truncated at order.
 
@@ -400,6 +407,8 @@ def jacobi_terms(delta: int, order: int) -> list[tuple[int, int]]:
     identity the exponents are delta times the triangular numbers k(k+1)/2
     and the weights are (-1)**k * (2k+1).
     """
+    require_int(delta, "delta", 1)
+    require_int(order, "order", 0)
     terms = []
     k = 0
     while delta * k * (k + 1) // 2 <= order:

@@ -14,6 +14,17 @@ eta quotient.  Sources, to confirm: N. J. Fine, Basic Hypergeometric Series
 and Applications (AMS, 1988); G. E. Andrews and B. C. Berndt, Ramanujan's
 Lost Notebook, Part II (Springer, 2009).
 
+check_slice_identity tests that agreement exactly without inverting
+anything: with A the read slice f(6n+1) and B = (q^2;q^2)^3, whose terms
+Jacobi's identity gives, it forms C = A*(q;q)^2 by two pentagonal passes
+and compares C with B.  Since (q;q)^2 = 1 + O(q), A agrees with the slice
+series B/(q;q)^2 below k exactly when C agrees with B there, and then
+C_k - B_k = A_k - G_k for G the slice series.
+
+tspp_series returns one progression f(step*n + offset) of the counting
+series, read off one memoized expansion per order and ring, so checks that
+read different progressions of one expansion share its kernel run.
+
 reduce_claim turns a CongruenceClaim "f(An+B) = 0 (mod u)" into SliceClaims
 about the slice variant on arithmetic progressions, which is what the
 verifier in the verification module consumes.
@@ -33,9 +44,12 @@ from .series import (
     CoefficientRing,
     EtaQuotientSpec,
     TruncatedSeries,
+    _require_progression,
     _sparse_passes,
     array_dtype,
     eta_quotient,
+    jacobi_terms,
+    pentagonal_terms,
     reduce_mod,
 )
 
@@ -145,14 +159,34 @@ def scan(pairs: Iterable[tuple[int, bool]]) -> tuple[int, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries:
-    """Counting series of 1-shell totally symmetric plane partitions by weight.
+def tspp_series(order: int, ring: CoefficientRing = INTEGERS, step: int = 1, offset: int = 0) -> TruncatedSeries:
+    """Counting series of 1-shell totally symmetric plane partitions by
+    weight, through q**order, as the series whose n-th coefficient is
+    f(step*n + offset).
 
-    Expands 1 + sum_{n>=1} q^(3n-2) * prod_{i=0}^{n-2} (1 + q^(6i+3)).  One
-    array holds the coefficients of q^(3j+1), which in x = q^3 form
-    U_0 = sum_n x^n (-x; x^2)_n.  Since (-x; x^2)_n = sum_j x^(j^2) [n, j]
-    in x^2-binomials, and sum_{n>=j} [n, j]_Q t^n = t^j / (t; Q)_(j+1)
-    (Andrews, The Theory of Partitions, ch. 3),
+    The defaults step=1, offset=0 give the whole series; step, offset and
+    their refusals are those of series.eta_quotient.  The kernel's slots are
+    computed once per order and ring (a memo) and laid into one array, of
+    which only the progression becomes Python ints.
+    """
+    _require_progression(order, step, offset)
+    slots = _slots(order, ring.modulus)
+    out = np.zeros(order + 1, dtype=slots.dtype)
+    out[0] = 1
+    out[1::3] = slots
+    return TruncatedSeries(ring, tuple(out[offset::step].tolist()))
+
+
+@lru_cache(maxsize=4)
+def _slots(order: int, u: int | None) -> np.ndarray:
+    """The coefficients of q^(3j+1), j < lc = (order + 2) // 3, in
+    1 + sum_{n>=1} q^(3n-2) * prod_{i=0}^{n-2} (1 + q^(6i+3)), exactly or
+    mod u, as one read-only array; the other coefficients past q^0 vanish.
+
+    In x = q^3 they form U_0 = sum_n x^n (-x; x^2)_n.  Since
+    (-x; x^2)_n = sum_j x^(j^2) [n, j] in x^2-binomials, and
+    sum_{n>=j} [n, j]_Q t^n = t^j / (t; Q)_(j+1) (Andrews, The Theory of
+    Partitions, ch. 3),
 
         U_0 = sum_{j>=0} x^(j(j+1)) T_j,   T_j = 1 / prod_{i=0}^{j} (1 - x^(2i+1)).
 
@@ -170,8 +204,6 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
     array's dtype, and every value is non-negative, so u times its
     quotient lies between 0 and the value.
     """
-    require_int(order, "order", 0)
-    u = ring.modulus
     lc = (order + 2) // 3
     dtype = array_dtype(None if u is None else u * (lc + 1))
     total = np.ones(lc, dtype=dtype)
@@ -189,9 +221,8 @@ def tspp_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSeries
         j += 1
     if u is not None:
         reduce_mod(total, u, total)
-    out = [1] + [0] * order
-    out[1::3] = total.tolist()
-    return TruncatedSeries(ring, tuple(out))
+    total.flags.writeable = False
+    return total
 
 
 # the slice series (q^2; q^2)^3 / (q; q)^2
@@ -202,7 +233,7 @@ def slice_series(order: int, ring: CoefficientRing = INTEGERS) -> TruncatedSerie
     """The eta quotient SLICE_SPEC, (q^2; q^2)^3 / (q; q)^2.
 
     Its n-th coefficient equals the shell partition count at index 6n+1,
-    which check_slice_identity exercises.
+    which check_slice_identity tests without expanding it.
     """
     return eta_quotient(SLICE_SPEC, order, ring)
 
@@ -251,13 +282,25 @@ def check_support(order: int) -> CheckReport:
 
 
 def check_slice_identity(order: int) -> CheckReport:
-    """Assert count(6n+1) equals the slice series coefficient, exactly."""
+    """Assert count(6n+1) equals the slice series coefficient G_n, exactly,
+    for n <= top = (order - 1) // 6.
+
+    With A_n = count(6n+1), the product C = A*(q;q)^2 is two pentagonal
+    passes and B = (q^2;q^2)^3 = G*(q;q)^2 is Jacobi's identity, so nothing
+    is inverted.  (q;q)^2 = 1 + O(q), so A and G agree below k exactly when
+    C and B do, and then C_k - B_k = A_k - G_k: the first violation, and
+    G_n = A_n - (C_n - B_n) in its detail, are read off C and B.
+    """
     f = tspp_series(order, INTEGERS).coeffs
     top = (order - 1) // 6  # -1 at order 0, where f[1::6] is empty
-    g = slice_series(max(top, 0), INTEGERS).coeffs
-    checked, k = scan((6 * n + 1, count == slice_n) for n, (count, slice_n) in enumerate(zip(f[1::6], g)))
-    detail = f"n <= {top}" if k is None else f"count({k}) = {f[k]} but slice({k // 6}) = {g[k // 6]}"
-    return CheckReport("slice-identity", checked, k, detail)
+    a = f[1::6]
+    c = _sparse_passes(a, pentagonal_terms(1, top), 2, None) if a else ()
+    b = dict(jacobi_terms(2, max(top, 0)))
+    checked, n = scan((n, c_n == b.get(n, 0)) for n, c_n in enumerate(c))
+    if n is None:
+        return CheckReport("slice-identity", checked, None, f"n <= {top}")
+    g_n = a[n] - (c[n] - b.get(n, 0))
+    return CheckReport("slice-identity", checked, 6 * n + 1, f"count({6 * n + 1}) = {a[n]} but slice({n}) = {g_n}")
 
 
 def check_variant_congruence(alpha: int, p: int) -> CheckReport:

@@ -98,6 +98,18 @@ def slice_brute(order):
     return poly_mul(colored, cube, order)
 
 
+def slice_identity_report(f, order):
+    """(checked, first_violation, detail) of the slice identity on counts f
+    through order: each f(6n+1) against slice_brute(n) in turn, up to the
+    first that differs."""
+    top = (order - 1) // 6
+    g = slice_brute(max(top, 0))
+    for n in range(top + 1):
+        if f[6 * n + 1] != g[n]:
+            return n + 1, 6 * n + 1, f"count({6 * n + 1}) = {f[6 * n + 1]} but slice({n}) = {g[n]}"
+    return top + 1, None, f"n <= {top}"
+
+
 def unit_squares(n):
     """{x^2 mod n : gcd(x, n) = 1}, sorted, by trying every residue."""
     return tuple(sorted({x * x % n for x in range(n) if gcd(x, n) == 1}))

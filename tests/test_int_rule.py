@@ -30,13 +30,14 @@ VALID = {
     "eta_quotient": dict(spec=SPEC, order=1, step=1, offset=0),
     "index_gamma0": dict(N=1),
     "kappa": dict(m=1),
+    "oracle_check": dict(claim=tc.CongruenceClaim("f", 1, 0, 2), order=1, ring=tc.INTEGERS),
     "pentagonal_terms": dict(delta=1, order=1),
     "residues_mod": dict(modulus=2),
     "slice_series": dict(order=1),
     "slice_variant_series": dict(alpha=1, p=2, order=1),
     "slice_variant_spec": dict(alpha=1, p=2),
     "squares_mod": dict(modulus=1),
-    "tspp_series": dict(order=1),
+    "tspp_series": dict(order=1, step=1, offset=0),
 }
 
 EXEMPT = {

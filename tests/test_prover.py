@@ -99,33 +99,31 @@ def test_prove_with_inadmissible_hints_fails(shipped_docs):
 
 def test_verified_claim_agrees_with_oracle(shipped_docs):
     # the two pipelines share only the series primitives
-    counts = tc.tspp_series(20_000, tc.residues_mod(125 * 11))
+    ring = tc.residues_mod(125 * 11)
     for doc in shipped_docs:
-        check = tc.oracle_check(doc.claim, counts)
+        check = tc.oracle_check(doc.claim, 20_000, ring)
         assert check.passed, check.detail
 
 
 def test_oracle_check_counts_and_violations():
-    ok = tc.oracle_check(tc.CongruenceClaim("f", 10, 5, 5), tc.tspp_series(3_000, tc.residues_mod(25)))
+    ok = tc.oracle_check(tc.CongruenceClaim("f", 10, 5, 5), 3_000, tc.residues_mod(25))
     assert ok.passed and ok.checked == 300
     assert ok.detail == "indices <= 3000"
 
-    bad = tc.oracle_check(tc.CongruenceClaim("f", 1, 0, 2), tc.tspp_series(50, tc.residues_mod(6)))
+    bad = tc.oracle_check(tc.CongruenceClaim("f", 1, 0, 2), 50, tc.residues_mod(6))
     assert not bad.passed
     assert bad.first_violation == 0  # the count at index 0 is 1
     assert bad.detail == "coefficient 0 is 1 (mod 2)"
 
     # f(1) = 1, read mod 4 from a mod-12 expansion
-    bad = tc.oracle_check(tc.CongruenceClaim("f", 3, 1, 4), tc.tspp_series(50, tc.residues_mod(12)))
+    bad = tc.oracle_check(tc.CongruenceClaim("f", 3, 1, 4), 50, tc.residues_mod(12))
     assert (bad.first_violation, bad.detail) == (1, "coefficient 1 is 1 (mod 4)")
 
 
 def test_oracle_check_accepts_exact_counts():
-    exact = tc.tspp_series(3_000)
-    assert exact.ring == tc.INTEGERS
     for claim in tc.known_congruences():
-        check = tc.oracle_check(claim, exact)
-        mod = tc.oracle_check(claim, tc.tspp_series(3_000, tc.residues_mod(claim.modulus)))
+        check = tc.oracle_check(claim, 3_000, tc.INTEGERS)
+        mod = tc.oracle_check(claim, 3_000, tc.residues_mod(claim.modulus))
         assert check == mod and check.passed
 
 
@@ -133,9 +131,18 @@ def test_oracle_check_rejects_foreign_rings_and_claims():
     claim = tc.CongruenceClaim("f", 1250, 125, 125)
     for u in (5, 25, 11, 550):
         with pytest.raises(ValueError, match="do not determine residues mod 125"):
-            tc.oracle_check(claim, tc.tspp_series(100, tc.residues_mod(u)))
+            tc.oracle_check(claim, 100, tc.residues_mod(u))
     with pytest.raises(ValueError):
         tc.CongruenceClaim("gap", 625, 229, 125)  # the oracle is only ever handed f claims
+
+
+def test_oracle_check_reads_nothing_past_the_order():
+    # the claim's first index 125 lies beyond order 100: nothing is read,
+    # and the check passes, where tspp_series itself refuses that offset
+    claim = tc.CongruenceClaim("f", 1250, 125, 125)
+    check = tc.oracle_check(claim, 100, tc.residues_mod(125))
+    assert (check.passed, check.checked, check.detail) == (True, 0, "indices <= 100")
+    assert tc.oracle_check(claim, 125, tc.residues_mod(125)).checked == 1
 
 
 def test_claim_whose_classes_all_vanish_proves_without_certificates():
@@ -301,20 +308,15 @@ def test_combine_checks_citation_containment(proof_825):
 MOD4_CLAIMS = {5: (1, None), 15: (1, None), 25: (2, (4, 4)), 35: (1, None), 45: (1, None)}
 
 
-@pytest.fixture(scope="module")
-def counts_mod4():
-    return tc.tspp_series(tc.prover.ORACLE_MAX, tc.residues_mod(4))
-
-
 @pytest.mark.parametrize("offset", sorted(MOD4_CLAIMS))
-def test_prove_mod4_claims_through_the_level_4_variant(offset, counts_mod4):
+def test_prove_mod4_claims_through_the_level_4_variant(offset):
     claim = tc.CongruenceClaim("f", 50, offset, 4)
     report = tc.prove_tspp_congruence(claim, tc.InstanceHints(10, tc.EtaQuotientSpec(10, {1: 0})))
     (cert,) = report.certificates
     assert (cert.instance.m, cert.instance.r) == (25, tc.slice_variant_spec(2, 2))
     floor, violation = MOD4_CLAIMS[offset]
     assert cert.bound_floor == floor
-    oracle = tc.oracle_check(claim, counts_mod4)
+    oracle = tc.oracle_check(claim, tc.prover.ORACLE_MAX, tc.residues_mod(4))
     if violation is None:
         assert report.verdict == PROVED
         assert (oracle.passed, oracle.checked) == (True, 1000)

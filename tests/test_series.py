@@ -2,6 +2,8 @@
 algebraic property tests."""
 
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -672,6 +674,39 @@ def test_jacobi_terms_are_the_cube_of_the_euler_product():
             cube[e] = w
         assert tuple(cube) == euler_power(delta, 3, order)
     assert jacobi_terms(1, 6) == [(0, 1), (1, -3), (3, 5), (6, -7)]
+
+
+# Without its refusal, jacobi_terms(0, n) appends terms while 0 <= n, until
+# memory runs out; so the call runs in a child capped at 1 GiB of address
+# space and 60 s, where such a loop dies in seconds
+JACOBI_LEVEL_0 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from tsppcong.series import jacobi_terms
+try:
+    jacobi_terms(0, 10)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_jacobi_terms_refuses_level_0():
+    child = subprocess.run(
+        [sys.executable, "-c", JACOBI_LEVEL_0], capture_output=True, text=True, encoding="utf-8", timeout=60
+    )
+    assert child.stdout == "delta must be an integer of at least 1, got 0\n", child.stderr
+
+
+def test_jacobi_terms_refuses_bad_arguments():
+    # the same rule as pentagonal_terms
+    for args, message in (
+        ((-1, 5), "delta must be an integer of at least 1, got -1"),
+        ((True, 5), "delta must be an integer of at least 1, got True"),
+        ((1, -1), "order must be an integer of at least 0, got -1"),
+        ((1, 2.0), "order must be an integer of at least 0, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            jacobi_terms(*args)
 
 
 def test_eta_quotient_against_brute_force_product():

@@ -1,10 +1,13 @@
 """Counting series, slice series and claim reduction."""
 
 import dataclasses
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import tsppcong as tc
@@ -81,6 +84,32 @@ def test_counting_series_refuses_non_int_orders():
             tc.check_support(bad)
     with pytest.raises(ValueError, match="order must be an integer of at least 0, got -1"):
         tc.tspp_series(-1, tc.residues_mod(5))
+
+
+@given(
+    order=st.integers(0, 400),
+    # Z, a prime power and a composite modulus
+    ring=st.sampled_from((tc.INTEGERS, tc.residues_mod(125), tc.residues_mod(5500))),
+    data=st.data(),
+)
+def test_counting_series_progression_is_the_sliced_series(order, ring, data):
+    step = data.draw(st.integers(1, 60), label="step")
+    offset = data.draw(st.integers(0, min(step - 1, order)), label="offset")
+    got = tc.tspp_series(order, ring, step, offset)
+    assert got.ring == ring
+    assert got.coeffs == tc.tspp_series(order, ring).coeffs[offset::step]
+
+
+def test_counting_series_progression_refusals_are_eta_quotients():
+    spec = tc.EtaQuotientSpec(1, {1: 1})
+    for order, step, offset, message in (
+        (10, 3, 3, "offset 3 outside [0, 3)"),
+        (10, 3, -1, "offset -1 outside [0, 3)"),
+        (4, 10, 5, "offset 5 is beyond the truncation order 4"),
+    ):
+        for expand in (tc.tspp_series, lambda *args: tc.eta_quotient(spec, *args)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                expand(order, tc.residues_mod(5), step, offset)
 
 
 def test_slice_series_first_values():
@@ -189,6 +218,32 @@ def test_checks_report_their_first_violation(monkeypatch):
         identity = tc.check_slice_identity(100)
         assert (identity.checked, identity.first_violation) == (3, 13)
         assert identity.detail == f"count(13) = {2 + delta} but slice(2) = 2"
+
+
+def test_slice_identity_reports_what_the_inverse_form_reports(monkeypatch):
+    # corrupt f at indices 6n+1 by deltas of either parity, one to three at
+    # a time, and compare check_slice_identity, which multiplies f(6n+1) by
+    # (q;q)^2, with each f(6n+1) read against the slice series term by term
+    order = 600
+    top = (order - 1) // 6
+    clean = tc.tspp_series(order).coeffs
+    rng = random.Random(35)
+    cases = [list(clean)]
+    for _ in range(40):
+        coeffs = list(clean)
+        for _ in range(rng.randint(1, 3)):
+            coeffs[6 * rng.randint(0, top) + 1] += rng.choice((-3, -2, -1, 1, 2, 4, 7))
+        cases.append(coeffs)
+    for coeffs in cases:
+
+        def corrupted(n, ring=tc.INTEGERS, coeffs=coeffs):
+            assert (n, ring) == (order, tc.INTEGERS)
+            return tc.TruncatedSeries(ring, tuple(coeffs))
+
+        monkeypatch.setattr(tc.tspp, "tspp_series", corrupted)
+        report = tc.check_slice_identity(order)
+        assert (report.checked, report.first_violation, report.detail) == oracles.slice_identity_report(coeffs, order)
+    assert sum(coeffs != list(clean) for coeffs in cases) == 40
 
 
 def test_check_slice_identity():
@@ -336,15 +391,11 @@ OMEGA_CONTROLS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def counts_mod_3080():
-    return tc.tspp_series(600_000, tc.residues_mod(3080))  # 3080 = 8 * 5 * 7 * 11
-
-
 @pytest.mark.parametrize("A,B,u", OMEGA_CONTROLS)
-def test_omega_class_congruences_hold_but_do_not_reduce(A, B, u, counts_mod_3080):
+def test_omega_class_congruences_hold_but_do_not_reduce(A, B, u):
     claim = tc.CongruenceClaim("f", A, B, u)
-    assert tc.oracle_check(claim, counts_mod_3080).passed
+    # one expansion mod 3080 = 8 * 5 * 7 * 11 serves every row
+    assert tc.oracle_check(claim, 600_000, tc.residues_mod(3080)).passed
     reason = "class n = 3k+0: indices are 4 (mod 6): their series is the mock theta function omega(q), not an eta quotient"
     with pytest.raises(tc.NotReducibleError, match=re.escape(reason)):
         tc.reduce_claim(claim)
