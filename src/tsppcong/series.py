@@ -3,14 +3,6 @@
 A series here is an immutable coefficient tuple of fixed length, the
 coefficients of q**0 through q**order; eta_quotient is what builds one.
 
-The dense products that eta quotients still make, where a negative exponent
-is inverted, go through one multiply, _mul, by Kronecker substitution: each
-operand becomes one Python int of fixed-width limbs, so a product costs one
-big-integer multiplication.  Over Z the result is taken modulo a bound
-larger than twice any coefficient and lifted to the centred range.  The
-inverse of (q; q)**r is one Newton loop whose product a*g is r's sparse
-passes over g.
-
 Eta quotients apply a positive exponent r on (q^d; q^d) by sparse passes of
 weighted shifted additions: r // 3 passes over the Jacobi support of
 (q^d; q^d)**3 and r % 3 over the pentagonal support of (q^d; q^d).  One
@@ -23,13 +15,25 @@ narrowest of int8, int16, int32 and int64 that holds u * max(P, N), else
 in object arrays.  Every array is reduced mod u by reduce_mod, as
 values - u * (values // u), which numpy computes with vector instructions:
 in a pass the quotient is at least -N, so u times it stays inside the
-bound; the axpy and tspp's counting kernel reduce values of at least 0,
-and the limbs of _mul values above -u, so there u times it is at least
--u.  Over Z, modulo a composite, or modulo a prime power u above T, the
-sum of the positive exponents, each negative exponent r inverts (q; q)**r
-at order // d by Newton iteration whose product a*g is r's sparse passes
-over g, so (q; q)**r is never expanded; the inverse is multiplied into the
-d residue classes of the exponent separately.  Everything is exact:
+bound; the axpy and the staircase reduce values of at least 0, so there u
+times it lies between 0 and the value.
+
+Over Z, modulo a composite, or modulo a prime power u above T, the sum of
+the positive exponents, no conversion (below) takes a negative exponent -r
+on (q^d; q^d), and it is r divisions by (q^d; q^d), each one staircase
+(_staircase), by Durfee squares:
+
+    1 / (q; q)_inf = sum_{k>=0} q^(k^2) / (q; q)_k^2
+
+(Andrews, The Theory of Partitions, 1976, ch. 2; equation number to
+confirm).  Proof: a partition whose largest square is k x k is that
+square, the partition to its right, of at most k parts, and the one below
+it, of parts at most k; each of these two is counted by 1 / (q; q)_k, the
+first by conjugation.  With q^d for q the division forms
+sum_k q^(dk^2) T_k, where T_0 is the input and
+T_k = T_(k-1) / (1 - q^(dk))^2 is two cumulative sums down the columns of
+a view with dk columns, so about sqrt(order/d) steps divide once; tspp's
+counting kernel runs on the same staircase.  Everything is exact:
 fixed-width integer or object numpy arrays and Python ints, no floating
 point.
 
@@ -62,9 +66,9 @@ c = ceil(-r / u), and c*u/p is taken off the exponent on p*d, which the
 same ascending loop meets later, converts in turn, and drops once p*d is
 above the order.  Each conversion adds less than u, so the gate u <= T
 takes it only where the positive exponents already cost about T/3 full
-passes, and no Newton inverse or dense product is left.  p is the least
-prime factor of u, sought by arith.prime_power only up to T, since a
-rewrite needs p <= r and a conversion u <= T; u itself is never factored.
+passes, and no division is left.  p is the least prime factor of u,
+sought by arith.prime_power only up to T, since a rewrite needs p <= r and
+a conversion u <= T; u itself is never factored.
 
 eta_quotient can return one progression c(step*n + offset) of the
 expansion, and it narrows to it by one rule in every ring.  At the start
@@ -73,13 +77,14 @@ exponent, negative ones included): the rest of the product is then a
 series in q^g, so of the expansion so far only the class offset mod g is
 read.  A level's last pass computes only that class (the start, and a
 level that ends in a Horner axpy, take it as a view), and step, offset,
-the order and the levels are divided by g.  So a Newton inverse runs at
-the order the cuts leave, and the progression is read from its product.
+the order and the levels are divided by g.  So the divisions run on the
+array the cuts leave, and the progression is read from their result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb, gcd
 from typing import Mapping
 
@@ -209,73 +214,6 @@ def pentagonal_terms(delta: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _mul(a: list[int], b: list[int], n: int, modulus: int | None) -> list[int]:
-    """Coefficients 0..n of a*b, reduced mod modulus, or exact when it is
-    None.
-
-    Kronecker substitution: each operand is packed into one Python int, as
-    fixed-width little-endian limbs wide enough to hold any coefficient of
-    the product, and the packed product is unpacked once.  Over Z the
-    product is taken mod an odd m exceeding twice the largest possible
-    coefficient and lifted back to the centred range.
-    """
-    a, b = a[: n + 1], b[: n + 1]
-    m = modulus
-    if m is None:
-        # max with 1 keeps m above twice every input, even beside a zero operand
-        m = 2 * (n + 1) * max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) + 1
-    width = max(1, ((min(len(a), len(b)) * (m - 1) ** 2).bit_length() + 7) // 8)
-    size = width * (n + 1)
-    product = _pack(a, m, width) * _pack(b, m, width)
-    out = _unpack((product & ((1 << 8 * size) - 1)).to_bytes(size, "little"), m, width)
-    if modulus is None:
-        half = m // 2
-        out = [c - m if c > half else c for c in out]
-    return out
-
-
-# Long runs of limbs of at most 8 bytes go through numpy, which pays for its
-# call overhead from about 16 limbs on.  Such limbs mean m < 2**32, so every
-# input (a residue, its negative, or an integer below m/2) fits int64.
-_NUMPY_LIMBS = 16
-
-
-def _pack(coeffs: list[int], m: int, width: int) -> int:
-    if width <= 8 and len(coeffs) > _NUMPY_LIMBS:
-        limbs = np.array(coeffs, dtype="<i8")
-        reduce_mod(limbs, m, limbs)
-        return int.from_bytes(limbs.view(np.uint8).reshape(-1, 8)[:, :width].tobytes(), "little")
-    return int.from_bytes(b"".join((c % m).to_bytes(width, "little") for c in coeffs), "little")
-
-
-def _unpack(raw: bytes, m: int, width: int) -> list[int]:
-    if width <= 8 and len(raw) > _NUMPY_LIMBS * width:
-        limbs = np.zeros((len(raw) // width, 8), dtype=np.uint8)
-        limbs[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-        values = limbs.view("<u8").ravel()
-        return reduce_mod(values, m, values).tolist()
-    return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
-
-
-def _inverse(times_a, n: int, modulus: int | None) -> list[int]:
-    """Coefficients 0..n-1 of the inverse of a series a with a[0] = 1, given
-    times_a(g, k), the coefficients 0..k-1 of a*g for a list g of fewer than
-    k coefficients.
-
-    Newton iteration g <- g(2 - a*g) from g = 1: if a*g = 1 + q^k*e then the
-    next k coefficients of the inverse are those of -g*e, so each step
-    doubles the known prefix at the price of the product a*g, which times_a
-    forms by sparse passes, and one dense product g*e.
-    """
-    g = [1]
-    while len(g) < n:
-        k = len(g)
-        k2 = min(2 * k, n)
-        e = times_a(g, k2)[k:k2]
-        g += _mul(g, [-c for c in e], k2 - k - 1, modulus)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # eta quotients
 # ---------------------------------------------------------------------------
@@ -313,12 +251,12 @@ def eta_quotient(
     c = ceil(-r / u), and c*u/p is taken off the exponent on p*d; the new r
     is then applied like a positive one.  Mod 125 each -3 left on a power of
     5 becomes 122, which the rewrite takes in 10 passes and which leaves -3
-    on the next power, so no inverse remains.  Otherwise, over Z, modulo a
-    composite or for u > T, a negative exponent -r costs one inverse of
-    (q; q)**r at order // d by Newton iteration, whose product a*g at each
-    doubling is r // 3 + r % 3 passes over g.  The dilated inverse touches
-    only exponents divisible by d, so each residue class of the exponent mod
-    d is multiplied by the undilated inverse on its own.
+    on the next power, so no division remains.  Otherwise, over Z, modulo a
+    composite or for u > T, a negative exponent -r costs r divisions by
+    (q^d; q^d), each a staircase of about sqrt(order/d) steps of two
+    cumulative sums over the array the cuts leave (Durfee squares, in the
+    module docstring), a cost that grows with r where a positive exponent's
+    passes grow with r / 3.
 
     In every ring, at the start and once each level is taken off,
     g = gcd(step, the levels still carrying an exponent), which is step
@@ -327,8 +265,8 @@ def eta_quotient(
     and step, offset, the order and the levels are divided by g.  Mod 125
     at step 125 the levels 5, 25 and 125 are each applied at a fifth of the
     length of the level before, and the last pass of each expansion
-    computes only the progression; over Z, {1: 2, 6: -3} at step 9 inverts
-    (q; q)**3 at level 2 of a series cut to a third of its length.
+    computes only the progression; over Z, {1: 2, 6: -3} at step 9 divides
+    a series cut to a third of its length by (q^2; q^2)**3.
     """
     _require_progression(order, step, offset)
     u = ring.modulus
@@ -376,15 +314,12 @@ def eta_quotient(
             out, r, moved = acc, r % p, moved + k - alpha + 1
         if moved:
             exponents[p * d] = exponents.get(p * d, 0) + moved
-    out = out.tolist()
-    # what is left is negative exponents that no conversion takes
+    # what is left is negative exponents that no conversion takes: each
+    # 1/(q^d; q^d) = sum_k q^(dk^2) / (q^d; q^d)_k^2 is one staircase
     for d, r in exponents.items():
-        inv = _inverse(
-            lambda head, k: _euler_power(head + [0] * (k - len(head)), 1, -r, u).tolist(), order // d + 1, u
-        )
-        for rho in range(d):
-            out[rho::d] = _mul(out[rho::d], inv, (order - rho) // d, u)
-    return TruncatedSeries(ring, tuple(out[offset::step]))
+        for _ in range(-r):
+            out = _staircase(out, lambda k: (d * k * k, d * k), 2, u)
+    return TruncatedSeries(ring, tuple(out[offset::step].tolist()))
 
 
 def _require_progression(order: int, step: int, offset: int) -> None:
@@ -442,6 +377,45 @@ def _axpy(a, e: int, b: np.ndarray, modulus: int) -> np.ndarray:
     np.multiply(out, e, out=out)
     np.add(out, np.array(a, dtype=out.dtype), out=out)
     return reduce_mod(out, modulus, out)
+
+
+def _staircase(values, stairs, t: int, modulus: int | None) -> np.ndarray:
+    """sum_{j>=0} q^(s_j) T_j through the length n of values, an array,
+    where T_0 = values, s_0 = 0 and T_j = T_(j-1) / (1 - q^(w_j))**t for
+    (s_j, w_j) = stairs(j), j >= 1, while s_j < n; the s_j must ascend
+    from s_1 >= 1 with s_j - s_(j-1) >= w_j - 1.
+
+    The sum reads T_j on its first n - s_j slots only, so each division by
+    1 - q^w is one cumulative sum down the columns of a (rows, w) view of
+    the ceil((n - s_j) / w) rows that cover them, which by the condition on
+    the steps lie inside the n - s_(j-1) slots on which T_(j-1) is known.
+    tspp's counting kernel takes s_j = j(j+1), w_j = 2j+1 and t = 1, and
+    eta_quotient divides by (q^d; q^d) with s_k = dk^2, w_k = dk and t = 2
+    (Durfee squares, in the module docstring).  Over Z/u values must be
+    residues in [0, u) and each cumulative sum is reduced by reduce_mod, as
+    is the total at the end: a column sums at most n residues and the
+    total at most n, so u * (n + 1) picks the array's dtype, and every
+    value is non-negative, so u times its quotient lies between 0 and the
+    value.
+    """
+    n = len(values)
+    dtype = array_dtype(None if modulus is None else modulus * (n + 1))
+    term = np.array(values, dtype=dtype)
+    total = term.copy()
+    for j in count(1):
+        shift, width = stairs(j)
+        if shift >= n:
+            break
+        rows = -(-(n - shift) // width)
+        block = term[: rows * width].reshape(rows, width)
+        for _ in range(t):
+            np.add.accumulate(block, axis=0, dtype=dtype, out=block)
+            if modulus is not None:
+                reduce_mod(block, modulus, block)
+        total[shift:] += term[: n - shift]
+    if modulus is not None:
+        reduce_mod(total, modulus, total)
+    return total
 
 
 def array_dtype(bound: int | None):

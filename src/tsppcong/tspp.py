@@ -1,6 +1,20 @@
 """Counting series for 1-shell totally symmetric plane partitions and the
 reduction of congruence claims about them.
 
+A 1-shell totally symmetric plane partition is read here as a finite
+S3-invariant order ideal of {1, 2, ...}^3 every cell of which has a
+coordinate equal to 1, and f(n) counts those of n cells.  The generating
+function is 1 + sum_{n>=1} q^(3n-2) prod_{i=0}^{n-2} (1 + q^(6i+3)), due
+to A. Blecher (Utilitas Math. 88, 2012; definition and source to confirm).
+Bijection: the cells with first coordinate 1 form a self-conjugate
+partition lambda with lambda_1 = n, and the object is the union of
+lambda's three images on the coordinate faces, so it has
+3|lambda| - 3n + 1 cells (inclusion-exclusion over the n cells of each
+axis).  lambda's diagonal hooks are distinct odd numbers, the largest
+2n - 1 and the others any subset of {2i + 1 : i <= n - 2}, so the weight
+is 3n - 2 + sum (6i + 3) over that subset; the empty object gives the 1.
+tests/oracles.shell_tspp_counts enumerates the objects themselves.
+
 Past f(0) = 1 the counting sequence lives on indices congruent to 1 mod 3
 only (it vanishes on indices congruent to 0 or 2 mod 3), and on indices 6n+1
 it agrees with a fixed eta quotient, here called the slice series.
@@ -46,11 +60,10 @@ from .series import (
     TruncatedSeries,
     _require_progression,
     _sparse_passes,
-    array_dtype,
+    _staircase,
     eta_quotient,
     jacobi_terms,
     pentagonal_terms,
-    reduce_mod,
 )
 
 
@@ -197,30 +210,12 @@ def _slots(order: int, u: int | None) -> np.ndarray:
 
     T_0 is all ones and T_j = T_(j-1) / (1 - x^(2j+1)) is one cumulative
     sum down the columns of a (rows, 2j+1) view, taken over the first
-    lc - j(j+1) slots that the sum reads from offset j(j+1); so about
-    sqrt(lc) steps expand lc slots.  Over Z/u each T_j is reduced and the
-    total once at the end, by series.reduce_mod: a column sums at most lc
-    residues and the total at most lc + 1, so u * (lc + 1) picks the
-    array's dtype, and every value is non-negative, so u times its
-    quotient lies between 0 and the value.
+    lc - j(j+1) slots that the sum reads from offset j(j+1): one
+    series._staircase with s_j = j(j+1), w_j = 2j+1 and t = 1, so about
+    sqrt(lc) steps expand lc slots.  Over Z/u it reduces each T_j and the
+    total by series.reduce_mod, in the dtype that u * (lc + 1) picks.
     """
-    lc = (order + 2) // 3
-    dtype = array_dtype(None if u is None else u * (lc + 1))
-    total = np.ones(lc, dtype=dtype)
-    term = np.ones(lc, dtype=dtype)
-    j = 1
-    while (start := j * (j + 1)) < lc:
-        # rows * (2j+1) <= lc - j(j-1), the slots on which T_(j-1) is known
-        width = 2 * j + 1
-        rows = -(-(lc - start) // width)
-        block = term[: rows * width].reshape(rows, width)
-        np.cumsum(block, axis=0, dtype=dtype, out=block)
-        if u is not None:
-            reduce_mod(block, u, block)
-        total[start:] += term[: lc - start]
-        j += 1
-    if u is not None:
-        reduce_mod(total, u, total)
+    total = _staircase(np.ones((order + 2) // 3, dtype=np.int8), lambda j: (j * (j + 1), 2 * j + 1), 1, u)
     total.flags.writeable = False
     return total
 
@@ -324,8 +319,8 @@ def check_variant_congruence(alpha: int, p: int) -> CheckReport:
     (q; q) through (q; q)^p = (q^p; q^p) (mod p) where that saves passes,
     and, since u is at most the sum p**alpha + 1 of the positive exponents,
     converts each negative exponent on (q^d; q^d) through this identity
-    dilated by d, (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), so that no
-    inverse is expanded; see the series module.
+    dilated by d, (q^d; q^d)^u = (q^pd; q^pd)^(u/p) (mod u), so that
+    nothing is divided by (q^d; q^d); see the series module.
     """
     ratio = dict(slice_variant_spec(alpha, p).exponents)
     for d, e in SLICE_SPEC.exponents:

@@ -3,7 +3,8 @@
 Nothing here shares code with the package: products are expanded by naive
 truncated polynomial multiplication, partition counts and inverse powers of
 the Euler product come from running sums, one per part size, the mock theta
-function omega comes from cumulative sums over plain lists, and the
+function omega comes from cumulative sums over plain lists, 1-shell totally
+symmetric plane partitions are enumerated from their definition, and the
 verifier's unit squares and cusp minima come from trying every residue and
 every lambda; the auxiliary cusp orders are summed term by term as
 fractions.  These are the reference values the fast paths are checked
@@ -87,6 +88,42 @@ def tspp_brute(order):
                 out[shift + j] += c
         n += 1
     return out
+
+
+def shell_tspp_counts(order):
+    """The number of 1-shell totally symmetric plane partitions of each
+    weight n <= order, counted from the definition alone.
+
+    Such an object is a finite S3-invariant order ideal of {1, 2, ...}^3,
+    every cell of which has a coordinate equal to 1; its weight is its
+    number of cells.  It is a union of S3-orbits of cells (1, b, c),
+    1 <= b <= c, of 1, 3 or 6 cells, and it is an order ideal exactly when
+    with each orbit it holds the orbits of (1, b - 1, c) and (1, b, c - 1)
+    that lie in {1, 2, ...}^3, those of its cells' lower neighbours with a
+    coordinate 1 (lowering the 1 leaves the octant).  A chain to (1, 1, c)
+    weighs 3c - 2, so c <= (order + 2) // 3.  A depth-first search adds
+    orbits in an order that lists each orbit after those below it, and only
+    once they are in, so each object is met once: as its orbits in that
+    order."""
+    top = (order + 2) // 3
+    orbits = []
+    for b, c in sorted(((b, c) for c in range(1, top + 1) for b in range(1, c + 1)), key=lambda o: (o[0] + o[1], o[0])):
+        size = 1 if c == 1 else 3 if b in (1, c) else 6
+        below = [(b - 1, c)] * (b > 1) + [(min(b, c - 1), max(b, c - 1))] * (c > 1)
+        orbits.append(((b, c), size, below))
+    counts = [0] * (order + 1)
+
+    def grow(ideal, start, weight):
+        counts[weight] += 1
+        for i in range(start, len(orbits)):
+            orbit, size, below = orbits[i]
+            if weight + size <= order and all(o in ideal for o in below):
+                ideal.add(orbit)
+                grow(ideal, i + 1, weight + size)
+                ideal.remove(orbit)
+
+    grow(set(), 0, 0)
+    return counts
 
 
 def slice_brute(order):

@@ -200,28 +200,36 @@ def test_eta_quotient_progression_is_a_slice_of_the_full_expansion(spec, order, 
     assert tc.eta_quotient(spec, order, ring, step, offset).coeffs == full[offset::step]
 
 
-# (r, n) pairs for the Newton loop: each r meets every power of two up to
-# 256 at one of n + 1 = 2**k - 1, 2**k, 2**k + 1 in turn, so that the last
-# doubling ends one short of the order, on it or one past it; a few r also
-# meet all three at 512, and the order 600
+# (r, n) pairs, chosen for the Newton loop that inverted (q;q)**r before
+# the staircase: each r meets every power of two up to 256 at one of
+# n + 1 = 2**k - 1, 2**k, 2**k + 1 in turn, and a few r also meet all three
+# at 512, and the order 600
 NEWTON_CASES = [(r, 0) for r in range(1, 31)]
 NEWTON_CASES += [(r, 2**k - 2 + (r + k) % 3) for r in range(1, 31) for k in range(1, 9)]
 NEWTON_CASES += [(r, n) for r in (1, 2, 3, 4, 29, 30) for n in (510, 511, 512, 600)]
+# (d, r, n) on the dilated levels 2 and 5: n one short of a stair's shift
+# d*k**2, on it and one past it, for k to 10, with r from 1 to 30, and the
+# order 600
+DILATED_CASES = [(d, 1 + 7 * (k + i) % 30, d * k * k + i) for d in (2, 5) for k in range(1, 11) for i in (-1, 0, 1)]
+DILATED_CASES += [(d, r, 600) for d in (2, 5) for r in (1, 2, 29, 30)]
 
 
 @pytest.mark.parametrize("u", [None] + MODULI + [HUGE_MODULUS])
 def test_sparse_residual_newton_matches_dense_inverse(u):
-    # eta_quotient inverts (q;q)**r by Newton steps whose product is the
-    # sparse passes; the oracle divides by (q;q) r times by running sums
-    # over Z, once per r at the largest order, and the cases take prefixes
-    # reduced mod u.  Mod 5 and 25 some Jacobi weights vanish and are
-    # dropped, and HUGE_MODULUS runs in object arrays.
+    # eta_quotient divides by (q^d;q^d)**r in r staircases; the oracle
+    # divides by (q;q) r times by running sums over Z, once per r at the
+    # largest order, placed on the multiples of d, and the cases take
+    # prefixes reduced mod u.  Past the order 80 of the property tests this
+    # is the one reference for d > 1 that shares no code with the package.
+    # HUGE_MODULUS runs in object arrays.
     ring = tc.INTEGERS if u is None else tc.residues_mod(u)
-    top = max(n for _, n in NEWTON_CASES)
-    for r, n in NEWTON_CASES:
-        prefix = oracles.inverse_euler_power(r, top)[: n + 1]
-        brute = tc.TruncatedSeries(ring, prefix if u is None else tuple(c % u for c in prefix))
-        assert tc.eta_quotient(tc.EtaQuotientSpec(1, {1: -r}), n, ring) == brute, (r, n)
+    cases = [(1, r, n) for r, n in NEWTON_CASES] + DILATED_CASES
+    top = max(n for _, _, n in cases)
+    for d, r, n in cases:
+        prefix = [0] * (n + 1)
+        prefix[::d] = oracles.inverse_euler_power(r, top // d)[: n // d + 1]
+        brute = tc.TruncatedSeries(ring, tuple(prefix if u is None else (c % u for c in prefix)))
+        assert tc.eta_quotient(tc.EtaQuotientSpec(d, {d: -r}), n, ring) == brute, (d, r, n)
 
 
 @pytest.mark.parametrize(
@@ -318,55 +326,52 @@ def test_eta_quotient_rewrites_only_where_it_saves_passes(monkeypatch, spec, u, 
 
 
 @pytest.mark.parametrize(
-    "spec,u,order,step,offset,inverses",
+    "spec,u,order,step,offset,divisions",
     [
         # u <= T, the positive exponents' sum: every negative exponent is
-        # converted, and no Newton inverse or dense product is left
+        # converted, and no division is left
         (tc.slice_variant_spec(1, 11), 11, 6_000, 275, 229, []),
         (tc.slice_variant_spec(3, 5), 125, 3_000, 125, 104, []),
-        # u > T (T = 12 and T = 0): one Newton inverse, at the order left
-        # once the levels before the negative one are cut to the read class:
-        # mod 121, levels 1 and 2 leave 11 and step 275, so out is cut to the
-        # class 229 mod 11 and the inverse at level 1 has (6000 - 9) // 11 + 1
-        # terms, not 6000 // 11 + 1
-        (tc.slice_variant_spec(1, 11), 121, 6_000, 275, 229, [545]),
-        (tc.EtaQuotientSpec(5, {5: -25}), 125, 2_000, 1, 0, [401]),
-        # either side of the gate's edge: T = u converts, T = u - 1 inverts,
-        # level 1 leaving 5 and step 5, so the inverse at level 1 has
-        # (1000 - 3) // 5 + 1 terms, not 1000 // 5 + 1
+        # u > T (T = 12 and T = 0): one staircase per unit of the negative
+        # exponent, on the array left once the levels before it are cut to
+        # the read class: mod 121, levels 1 and 2 leave 11 and step 275, so
+        # out is cut to the class 229 mod 11 and the level 11 becomes 1, with
+        # (6000 - 9) // 11 + 1 terms, not 6001
+        (tc.slice_variant_spec(1, 11), 121, 6_000, 275, 229, [(1, 545)]),
+        (tc.EtaQuotientSpec(5, {5: -25}), 125, 2_000, 1, 0, [(5, 2_001)] * 25),
+        # either side of the gate's edge: T = u converts, T = u - 1 divides;
+        # the rewrite of 124 moves 22 onto level 5, and level 1 leaves 5 and
+        # step 5, so the -3 left is three divisions at level 1 of
+        # (1000 - 3) // 5 + 1 terms, not 1001
         (tc.EtaQuotientSpec(5, {1: 125, 5: -25}), 125, 1_000, 5, 3, []),
-        (tc.EtaQuotientSpec(5, {1: 124, 5: -25}), 125, 1_000, 5, 3, [200]),
+        (tc.EtaQuotientSpec(5, {1: 124, 5: -25}), 125, 1_000, 5, 3, [(1, 200)] * 3),
         # over Z and modulo a composite the same cut holds: level 1 leaves 6
         # and step 9, so out is cut to the class 1 mod 3 of offset 4, and the
-        # inverse at level 2 has 299 // 2 + 1 terms, not 900 // 6 + 1
-        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), None, 900, 9, 4, [150]),
-        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), 10, 900, 9, 4, [150]),
+        # three divisions at level 2 have (900 - 1) // 3 + 1 terms, not 901
+        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), None, 900, 9, 4, [(2, 300)] * 3),
+        (tc.EtaQuotientSpec(6, {1: 2, 6: -3}), 10, 900, 9, 4, [(2, 300)] * 3),
         # a cut can lift a level above the order: level 1 leaves 10 and step
         # 5, so the order 10 is cut to (10 - 3) // 5 = 1, and level 10
-        # becomes 2, whose factor is 1 there, so nothing is inverted
+        # becomes 2, whose factor is 1 there, so nothing is divided
         (tc.EtaQuotientSpec(10, {1: 1, 10: -1}), None, 10, 5, 3, []),
     ],
 )
 def test_eta_quotient_converts_negative_exponents_where_u_is_at_most_t(
-    monkeypatch, spec, u, order, step, offset, inverses
+    monkeypatch, spec, u, order, step, offset, divisions
 ):
-    inverse, mul = tc.series._inverse, tc.series._mul
-    sizes, products = [], []
+    # each division by (q^d; q^d) is one staircase whose first stair has
+    # width d
+    staircase = tc.series._staircase
+    recorded = []
 
-    def counted_inverse(times_a, n, modulus):
-        sizes.append(n)
-        return inverse(times_a, n, modulus)
+    def counted(values, stairs, t, modulus):
+        recorded.append((stairs(1)[1], len(values)))
+        return staircase(values, stairs, t, modulus)
 
-    def counted_mul(a, b, n, modulus):
-        products.append(n)
-        return mul(a, b, n, modulus)
-
-    monkeypatch.setattr(tc.series, "_inverse", counted_inverse)
-    monkeypatch.setattr(tc.series, "_mul", counted_mul)
+    monkeypatch.setattr(tc.series, "_staircase", counted)
     ring = tc.INTEGERS if u is None else tc.residues_mod(u)
     got = tc.eta_quotient(spec, order, ring, step, offset).coeffs
-    assert sizes == inverses
-    assert bool(products) == bool(inverses)
+    assert recorded == divisions
     assert got == tuple(c if u is None else c % u for c in exact_expansion(spec, order)[offset::step])
 
 

@@ -20,6 +20,14 @@ def test_counting_series_first_values():
     assert tc.tspp_series(0).coeffs == (1,)
 
 
+def test_counting_series_counts_its_objects():
+    # the objects themselves, enumerated from the definition (see the tspp
+    # module docstring), against the generating function the kernel expands
+    counts = oracles.shell_tspp_counts(90)
+    assert counts[:8] == [1, 1, 0, 0, 1, 0, 0, 2]
+    assert tuple(counts) == tc.tspp_series(90).coeffs
+
+
 def test_counting_series_matches_uncompressed_expansion():
     # orders 0..6 fill lc <= 2 slots and take no cumulative sum; 0..40 give
     # lc = 0..14, so every residue of the order mod 3 and 0 to 3 sums, and

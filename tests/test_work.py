@@ -17,8 +17,8 @@ Counted, per run and from empty expansion memos:
             with g > 1 counts, per kept term, the slots of the output class
             o mod g that it adds to (the alpha axpys of each rewritten
             exponent are not counted);
-  mul       each series._mul call and its output length n + 1;
-  inverse   each series._inverse call and its size n;
+  divisions each division of eta_quotient by (q^d; q^d), one series._staircase
+            call (tspp binds its own name), as its level d and input length;
   slots     the x-slots (order + 2) // 3 of each run of tspp's counting
             kernel, counted inside its memo, so calls that share a run
             count it once;
@@ -41,17 +41,14 @@ class Work:
     eta: list[int] = field(default_factory=list)
     passes: int = 0
     elements: int = 0
-    mul: list[int] = field(default_factory=list)
-    inverse: list[int] = field(default_factory=list)
+    divisions: list[tuple[int, int]] = field(default_factory=list)
     slots: int = 0
     scanned: int = 0
 
     def pin(self) -> tuple:
-        """(eta orders, passes, elements, _mul calls, their summed length,
-        _inverse sizes, slots, scanned)"""
+        """(eta orders, passes, elements, divisions, slots, scanned)"""
         return (
-            tuple(self.eta), self.passes, self.elements, len(self.mul), sum(self.mul),
-            tuple(self.inverse), self.slots, self.scanned,
+            tuple(self.eta), self.passes, self.elements, tuple(self.divisions), self.slots, self.scanned,
         )
 
 
@@ -83,6 +80,10 @@ def count(monkeypatch):
             slots = len(range(o, n, g))
             work.elements += sum(max(0, slots - (e - o + g - 1) // g) for e in kept)
 
+    def division(result, values, stairs, t, modulus):
+        # the first stair of a division by (q^d; q^d) has width d
+        work.divisions.append((stairs(1)[1], len(values)))
+
     def eta(result, spec, order, *args, **kwargs):
         work.eta.append(order)
 
@@ -100,8 +101,7 @@ def count(monkeypatch):
     kernel = tspp._slots
     memo = lru_cache(kernel.cache_parameters()["maxsize"])(counting(kernel.__wrapped__, slots))
     monkeypatch.setattr(tspp, "_slots", memo)
-    wrap(series, "_mul", lambda result, a, b, n, modulus: work.mul.append(n + 1))
-    wrap(series, "_inverse", lambda result, times_a, n, modulus: work.inverse.append(n))
+    wrap(series, "_staircase", division)
     wrap(prover, "verify_instance", scanned)
 
     def run(fn):
@@ -121,7 +121,7 @@ def count(monkeypatch):
 # probe and the full scan, which runs because the probe reads a zero.  Every
 # variant has u <= T, the sum of its positive exponents, so series converts
 # its negative exponent through (q^d;q^d)^u = (q^pd;q^pd)^(u/p) (mod u) and
-# makes no Newton inverse and no dense product.  Mod 125 the variant expands
+# makes no division.  Mod 125 the variant expands
 # as (q;q)^3 (q^2;q^2)^3 H / (q^5;q^5)^3 (series' Frobenius rewrite): one
 # Jacobi pass each for the cubes and two Horner steps of 3 passes for
 # z = (q;q)^5 and 1 for F = (q^5;q^5), 10 passes.  The -3 left on 5 becomes
@@ -132,12 +132,12 @@ def count(monkeypatch):
 # The first pass over the constant 1 writes its terms, and the last pass
 # before each class cut, and of each expansion, computes only the class read
 PROOF_WORK = {
-    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 110, 93_641_075, 0, 0, (), 0, 170),
-    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 110, 93_641_075, 0, 0, (), 0, 170),
-    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 36, 183_400_975, 0, 0, (), 0, 306),
-    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 36, 183_400_975, 0, 0, (), 0, 306),
-    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 7, 0, 0, (), 0, 4),
-    "f(250n+125) = 0 (mod 25)": ((104, 2229), 42, 370_830, 0, 0, (), 0, 18),
+    "f(1250n+125) = 0 (mod 125)": ((604, 53104), 110, 93_641_075, (), 0, 170),
+    "f(1250n+1125) = 0 (mod 125)": ((604, 53104), 110, 93_641_075, (), 0, 170),
+    "f(2750n+825) = 0 (mod 11)": ((1054, 210_054), 36, 183_400_975, (), 0, 306),
+    "f(2750n+1925) = 0 (mod 11)": ((1054, 210_054), 36, 183_400_975, (), 0, 306),
+    "f(10n+5) = 0 (mod 5)": ((4, 19), 6, 7, (), 0, 4),
+    "f(250n+125) = 0 (mod 25)": ((104, 2229), 42, 370_830, (), 0, 18),
 }
 
 
@@ -154,11 +154,8 @@ def test_each_proof_does_its_pinned_work(count):
 # serves both claims through the memo), the slice identity's two pentagonal
 # passes over the 834 counts f(6n+1), and the counting kernel to 10 000,
 # 5 000 and ORACLE_MAX, the last run once for all nine oracle rows; no
-# Newton inverse and no dense product
-REGRESS_WORK = (
-    (604, 53104, 1054, 210_054, 4, 19), 358, 277_112_074, 0, 0,
-    (), 21_668, 956,
-)
+# division
+REGRESS_WORK = ((604, 53104, 1054, 210_054, 4, 19), 358, 277_112_074, (), 21_668, 956)
 
 
 def test_regression_suite_does_its_pinned_work(count):
@@ -187,10 +184,9 @@ def sweep_claims(seed, count):
 
 # most of these claims fail the admissibility checklist or a cusp bound,
 # which expand nothing, and claims of one orbit share an expansion; every
-# variant has u <= T, so none makes a Newton inverse
+# variant has u <= T, so none makes a division
 SWEEP_WORK = (
-    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 143, 153_571, 0, 0,
-    (), 0, 6899,
+    (10, 5, 3, 2, 9, 8, 6, 36, 43, 5, 2, 10, 4, 12, 108, 5, 8, 10, 504, 3, 660), 143, 153_571, (), 0, 6899,
 )
 
 
